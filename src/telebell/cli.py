@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import itertools
 import json
@@ -20,7 +21,7 @@ from typing import Callable
 import numpy as np
 
 from .corrvec import correlation_closed_form, super_norm_sq, build_quantum_super_vector
-from .lhv import bell_test, enumerate_strategies, lhv_extremal_bound
+from .lhv import STRATEGY_SIGNS, bell_test, lhv_extremal_bound
 from .noise import violation_threshold
 from .schema import SCHEMA_VERSION
 from .swap import TSIRELSON_BOUND, reduced_purity, run_swap
@@ -84,6 +85,16 @@ def _visibility_arg(text: str) -> float:
     return value
 
 
+def _angle_arg(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid angle {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"angle must be finite, got {text!r}")
+    return value
+
+
 def _grid_arg(text: str) -> tuple[str, list[float]]:
     axis, sep, rest = text.partition("=")
     if not sep or axis not in _GRID_AXES:
@@ -103,19 +114,28 @@ def _grid_arg(text: str) -> tuple[str, list[float]]:
         raise argparse.ArgumentTypeError("grid step must be positive")
     if stop < start:
         raise argparse.ArgumentTypeError("grid stop must not precede start")
-    count = int(math.floor((stop - start) / step + 1e-9)) + 1
+    # count the points before building them: a tiny step can ask for more
+    # points than memory holds, or for an infinite number
+    span = (stop - start) / step + 1e-9
+    if not math.isfinite(span) or span >= MAX_SCAN_ROWS:
+        raise argparse.ArgumentTypeError(
+            f"grid axis {axis} has more than {MAX_SCAN_ROWS} points, the row limit"
+        )
+    count = int(math.floor(span)) + 1
     return axis, [start + i * step for i in range(count)]
 
 
 def _add_angle_args(parser: argparse.ArgumentParser, *, analyzer: bool) -> None:
-    parser.add_argument("--beta", type=float, default=45.0, help="preparation beta in degrees")
-    parser.add_argument("--phi", type=float, default=0.0, help="preparation phi in degrees")
+    parser.add_argument(
+        "--beta", type=_angle_arg, default=45.0, help="preparation beta in degrees"
+    )
+    parser.add_argument("--phi", type=_angle_arg, default=0.0, help="preparation phi in degrees")
     if analyzer:
         parser.add_argument(
-            "--beta-prime", type=float, default=45.0, help="analyzer beta' in degrees"
+            "--beta-prime", type=_angle_arg, default=45.0, help="analyzer beta' in degrees"
         )
         parser.add_argument(
-            "--phi-prime", type=float, default=0.0, help="analyzer phi' in degrees"
+            "--phi-prime", type=_angle_arg, default=0.0, help="analyzer phi' in degrees"
         )
 
 
@@ -167,7 +187,7 @@ def _cmd_bell_test(args: argparse.Namespace) -> str:
     report = bell_test(args.visibility)
     checks = _require_checks(
         {
-            "strategy_count_deviation": float(abs(len(enumerate_strategies()) - 64)),
+            "strategy_count_deviation": float(abs(len(STRATEGY_SIGNS) - 64)),
             "bound_symmetry": abs(report.lhv_upper_bound + report.lhv_lower_bound),
             "ratio_residual": abs(
                 report.violation_ratio * report.lhv_upper_bound - report.quantum_value
@@ -345,9 +365,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _shared_parser() -> argparse.ArgumentParser:
+    """The parser ``main`` uses: built on first use, then kept for the process."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _shared_parser().parse_args(argv)
     try:
         text = args.handler(args)
     except UsageError as exc:
@@ -357,8 +382,12 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8", newline="") as handle:
+                handle.write(text)
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(text)
     return 0

@@ -34,6 +34,7 @@ _VECTOR_CHOICES = ((-1, -1), (-1, 1), (1, -1), (1, 1))
 
 __all__ = [
     "VIOLATION_TOL",
+    "STRATEGY_SIGNS",
     "DeterministicStrategy",
     "StrategyEnsemble",
     "BellTestReport",
@@ -88,14 +89,22 @@ def strategy_super_vector(strategy: DeterministicStrategy) -> np.ndarray:
     return np.stack(rows)
 
 
+# The 64 strategies in enumeration order, their super-vectors stacked into
+# one (64, 4, 2) sign tensor, and each strategy's row in it.
+_STRATEGIES = tuple(
+    DeterministicStrategy(bob=(bob_minus, bob_plus), alice=(alice_0, alice_90))
+    for bob_minus, bob_plus, alice_0, alice_90 in itertools.product(
+        _SIGNS, _SIGNS, _VECTOR_CHOICES, _VECTOR_CHOICES
+    )
+)
+STRATEGY_SIGNS = np.stack([strategy_super_vector(s) for s in _STRATEGIES])
+STRATEGY_SIGNS.setflags(write=False)
+_STRATEGY_INDEX = {strategy: index for index, strategy in enumerate(_STRATEGIES)}
+
+
 def enumerate_strategies() -> list[DeterministicStrategy]:
-    """All 64 deterministic strategies, in a fixed order."""
-    return [
-        DeterministicStrategy(bob=(bob_minus, bob_plus), alice=(alice_0, alice_90))
-        for bob_minus, bob_plus, alice_0, alice_90 in itertools.product(
-            _SIGNS, _SIGNS, _VECTOR_CHOICES, _VECTOR_CHOICES
-        )
-    ]
+    """All 64 deterministic strategies, in a fixed order (the rows of ``STRATEGY_SIGNS``)."""
+    return list(_STRATEGIES)
 
 
 class ExtremalBound(NamedTuple):
@@ -109,14 +118,12 @@ def lhv_extremal_bound(v_qm) -> ExtremalBound:
     By sign symmetry of the enumeration the minimum is the negated maximum.
     Ties resolve to the first strategy in enumeration order.
     """
-    best_value = -np.inf
-    best_strategy = None
-    for strategy in enumerate_strategies():
-        value = super_dot(v_qm, strategy_super_vector(strategy))
-        if value > best_value:
-            best_value = value
-            best_strategy = strategy
-    return ExtremalBound(best_value, best_strategy)
+    v = np.asarray(v_qm, dtype=float)
+    if v.shape != STRATEGY_SIGNS.shape[1:]:
+        raise ValueError(f"super-vector must have shape (4, 2), got {v.shape}")
+    values = (STRATEGY_SIGNS * v).sum(axis=(1, 2))
+    best = int(np.argmax(values))
+    return ExtremalBound(float(values[best]), _STRATEGIES[best])
 
 
 @dataclass(frozen=True)
@@ -140,10 +147,9 @@ class StrategyEnsemble:
 
 def ensemble_super_vector(ensemble: StrategyEnsemble) -> np.ndarray:
     """Weight-averaged strategy super-vector."""
-    total = np.zeros((4, 2))
-    for strategy, weight in ensemble.entries:
-        total += weight * strategy_super_vector(strategy)
-    return total
+    indices = [_STRATEGY_INDEX[strategy] for strategy, _ in ensemble.entries]
+    weights = np.array([weight for _, weight in ensemble.entries])
+    return (weights @ STRATEGY_SIGNS[indices].reshape(len(indices), -1)).reshape(4, 2)
 
 
 def ensemble_correlation(

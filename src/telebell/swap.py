@@ -15,7 +15,7 @@ radians internally.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import atan2, cos, pi, sin, sqrt
+from math import atan2, cos, hypot, pi, sin, sqrt
 from typing import NamedTuple
 
 import numpy as np
@@ -24,9 +24,6 @@ from .qstate import ProjectiveBasis, PureState, measure_probabilities, partial_i
 from .teleport import BELL_OUTCOMES, bell_basis, dichotomic_basis
 
 TSIRELSON_BOUND = 2.0 * sqrt(2.0)
-_SCAN_STEP_DEG = 1.0
-_REFINE_TOL = 1e-14
-_MAX_REFINE_SWEEPS = 200
 
 __all__ = [
     "TSIRELSON_BOUND",
@@ -103,8 +100,11 @@ def chsh_on_pair(state: PureState, angles) -> float:
     return s
 
 
-def _analyzer_direction(angle: float) -> np.ndarray:
-    return np.array([cos(2.0 * angle), sin(2.0 * angle)])
+def _analyzer_angle(direction: np.ndarray) -> float:
+    """Angle t in [0, pi) whose analyzer direction (cos 2t, sin 2t) is ``direction``."""
+    angle = (0.5 * atan2(direction[1], direction[0])) % pi
+    # a tiny negative half-angle rounds up to pi, the same analyzer as 0
+    return 0.0 if angle == pi else angle
 
 
 def _correlation_matrix(state: PureState) -> np.ndarray:
@@ -120,64 +120,49 @@ def _correlation_matrix(state: PureState) -> np.ndarray:
 
 
 class ChshScanResult(NamedTuple):
+    """Maximal CHSH value, the angles (radians) reaching it, and its closed form.
+
+    ``value`` is the Born-rule CHSH value at ``angles``; ``grid_value`` holds
+    the closed-form optimum ``2 sqrt(s1^2 + s2^2)`` of the correlation
+    matrix (the field keeps its name for existing callers).
+    """
+
     value: float
     angles: tuple[float, float, float, float]
     grid_value: float
 
 
-def max_chsh(state: PureState, grid_step_deg: float = _SCAN_STEP_DEG) -> ChshScanResult:
+def max_chsh(state: PureState) -> ChshScanResult:
     """Maximal CHSH value of a 2-qubit state over real analyzer angles.
 
-    A full four-axis grid scan (default 1 degree resolution over [0, 180))
-    locates the best angle tuple; exact per-axis updates then refine it until
-    the value stalls.  The returned value is re-evaluated through the Born
-    rule at the refined angles.
+    With E(a, b) = u(a) . M u(b), the optimum over real analyzers is
+    ``2 sqrt(s1^2 + s2^2)`` for the singular values s1 >= s2 of M (the
+    Horodecki criterion, Phys. Lett. A 200, 340 (1995)).  Bob's directions
+    are ``cos(t) v1 +- sin(t) v2`` with ``tan t = s2 / s1``; Alice's are the
+    left singular vectors.  The angles are folded into [0, pi); the returned
+    value is the Born-rule CHSH value at them, which must reproduce the
+    closed form.
     """
-    if grid_step_deg <= 0.0:
-        raise ValueError("grid step must be positive")
     m = _correlation_matrix(state)
-    thetas = np.radians(np.arange(0.0, 180.0, grid_step_deg))
-    directions = np.column_stack([np.cos(2.0 * thetas), np.sin(2.0 * thetas)])
-    grid = directions @ m @ directions.T
+    left, sigma, right_t = np.linalg.svd(m)
+    grid_value = 2.0 * hypot(sigma[0], sigma[1])
+    t = atan2(sigma[1], sigma[0])
+    directions = (
+        left[:, 1],
+        left[:, 0],
+        cos(t) * right_t[0] + sin(t) * right_t[1],
+        cos(t) * right_t[0] - sin(t) * right_t[1],
+    )
+    angles = tuple(_analyzer_angle(d) for d in directions)
 
-    # S separates over Bob's two angles once Alice's pair (i, j) is fixed:
-    # max_k (E[i,k] + E[j,k]) + max_l (E[j,l] - E[i,l]).
-    same = grid[:, None, :] + grid[None, :, :]
-    diff = grid[None, :, :] - grid[:, None, :]
-    best_b = same.max(axis=2)
-    best_b_alt = diff.max(axis=2)
-    totals = best_b + best_b_alt
-    i, j = np.unravel_index(np.argmax(totals), totals.shape)
-    k = int(same[i, j].argmax())
-    l = int(diff[i, j].argmax())
-    grid_value = float(totals[i, j])
-
-    a, a_alt, b, b_alt = (float(thetas[idx]) for idx in (i, j, k, l))
-
-    def bilinear(a_, a_alt_, b_, b_alt_):
-        u = [_analyzer_direction(t) for t in (a_, a_alt_, b_, b_alt_)]
-        return float(u[0] @ m @ (u[2] - u[3]) + u[1] @ m @ (u[2] + u[3]))
-
-    value = bilinear(a, a_alt, b, b_alt)
-    for _ in range(_MAX_REFINE_SWEEPS):
-        w = m @ (_analyzer_direction(b) - _analyzer_direction(b_alt))
-        a = 0.5 * atan2(w[1], w[0])
-        w = m @ (_analyzer_direction(b) + _analyzer_direction(b_alt))
-        a_alt = 0.5 * atan2(w[1], w[0])
-        w = m.T @ (_analyzer_direction(a) + _analyzer_direction(a_alt))
-        b = 0.5 * atan2(w[1], w[0])
-        w = m.T @ (_analyzer_direction(a_alt) - _analyzer_direction(a))
-        b_alt = 0.5 * atan2(w[1], w[0])
-        refined = bilinear(a, a_alt, b, b_alt)
-        if refined - value <= _REFINE_TOL:
-            value = max(value, refined)
-            break
-        value = refined
-
-    born_value = chsh_on_pair(state, (a, a_alt, b, b_alt))
-    if max(grid_value, value, born_value) > TSIRELSON_BOUND + 1e-9:
-        raise RuntimeError("scan produced a CHSH value above the quantum bound")
-    return ChshScanResult(born_value, (a, a_alt, b, b_alt), grid_value)
+    born_value = chsh_on_pair(state, angles)
+    if max(grid_value, born_value) > TSIRELSON_BOUND + 1e-9:
+        raise RuntimeError("CHSH optimum exceeds the quantum bound")
+    if abs(born_value - grid_value) > 1e-9:
+        raise RuntimeError(
+            f"Born-rule CHSH value {born_value!r} misses the closed-form optimum {grid_value!r}"
+        )
+    return ChshScanResult(born_value, angles, grid_value)
 
 
 @dataclass(frozen=True, eq=False)
@@ -185,7 +170,7 @@ class SwapReport:
     """Per-outcome results of the swapping protocol.
 
     Maps are keyed by Bell outcome label; ``post_states`` hold the
-    post-selected (D, C) pair, ``chsh_values`` its scan-maximal CHSH value
+    post-selected (D, C) pair, ``chsh_values`` its maximal CHSH value
     and ``chsh_angles`` the analyzer angles (radians) achieving it.
     """
 
@@ -222,7 +207,7 @@ def run_swap() -> SwapReport:
 
 
 def single_outcome_subensemble(outcome: str) -> tuple[float, float]:
-    """Probability and scan-maximal CHSH value of one post-selected outcome.
+    """Probability and maximal CHSH value of one post-selected outcome.
 
     Restricting to runs with a single fixed Bell outcome (no correction, no
     use of the other outcomes) already violates the CHSH inequality maximally.

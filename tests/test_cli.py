@@ -4,6 +4,8 @@ import csv
 import io
 import json
 import math
+import os
+import resource
 import subprocess
 import sys
 
@@ -14,6 +16,8 @@ from telebell import cli
 from telebell.schema import available_schemas, load_schema
 
 SQRT_HALF = math.sqrt(0.5)
+ANGLE_OPTIONS = ("--beta", "--phi", "--beta-prime", "--phi-prime")
+ADDRESS_SPACE_CAP = 1 << 30
 
 
 def run_cli(args, capsys):
@@ -59,6 +63,23 @@ class TestProbs:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err != ""
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("option", ANGLE_OPTIONS)
+    def test_non_finite_angle_exits_2(self, option, value, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(["probs", f"{option}={value}"])
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "finite" in captured.err
+
+    def test_out_unwritable_path_exits_2(self, tmp_path, capsys):
+        code, out, err = run_cli(["probs", "--out", str(tmp_path / "missing" / "x.json")], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
+        assert "Traceback" not in err
 
     def test_out_file(self, tmp_path, capsys):
         target = tmp_path / "probs.json"
@@ -138,6 +159,26 @@ class TestScan:
         )
         assert code == 2
         assert "row limit" in err
+
+    @pytest.mark.parametrize("grid", ["phi=0:1e-300:1e-310", "phi=0:1e300:1e-300"])
+    def test_unbounded_grid_exits_2_before_building(self, grid):
+        # The capped address space turns an attempt to build the points into
+        # a MemoryError in the child instead of exhausting the machine.
+        def cap_address_space():
+            resource.setrlimit(resource.RLIMIT_AS, (ADDRESS_SPACE_CAP, ADDRESS_SPACE_CAP))
+
+        result = subprocess.run(
+            [sys.executable, "-m", "telebell", "scan", "--grid", grid],
+            capture_output=True,
+            text=True,
+            timeout=120,
+            preexec_fn=cap_address_space,
+            env={**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"},
+        )
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert "row limit" in result.stderr
+        assert "Traceback" not in result.stderr
 
     def test_malformed_grid_exits_2(self, capsys):
         for bad in ("beta", "beta=1:2", "gamma=0:1:1", "beta=0:1:0", "beta=a:b:c"):

@@ -4,9 +4,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from telebell.corrvec import build_quantum_super_vector, super_dot, super_norm_sq
 from telebell.lhv import (
+    STRATEGY_SIGNS,
     DeterministicStrategy,
     StrategyEnsemble,
     bell_test,
@@ -22,6 +26,24 @@ SQRT_TWO = math.sqrt(2.0)
 
 def all_plus():
     return DeterministicStrategy(bob=(1, 1), alice=((1, 1), (1, 1)))
+
+
+def loop_extremal_bound(v):
+    """Reference: the per-strategy loop, first strict maximum in enumeration order."""
+    best_value, best_strategy = -math.inf, None
+    for strategy in enumerate_strategies():
+        value = super_dot(v, strategy_super_vector(strategy))
+        if value > best_value:
+            best_value, best_strategy = value, strategy
+    return best_value, best_strategy
+
+
+def loop_ensemble_super_vector(ensemble):
+    """Reference: the weighted sum of strategy super-vectors, one entry at a time."""
+    total = np.zeros((4, 2))
+    for strategy, weight in ensemble.entries:
+        total += weight * strategy_super_vector(strategy)
+    return total
 
 
 def random_ensemble(rng, strategies):
@@ -116,6 +138,63 @@ class TestExtremalBound:
         quantum = build_quantum_super_vector()
         bound = lhv_extremal_bound(quantum)
         assert super_dot(quantum, strategy_super_vector(bound.argmax)) == bound.maximum
+
+
+class TestArrayPaths:
+    """The sign-tensor forms against the per-strategy loops they replace."""
+
+    def test_sign_tensor_rows_follow_enumeration(self):
+        strategies = enumerate_strategies()
+        assert STRATEGY_SIGNS.shape == (64, 4, 2)
+        assert not STRATEGY_SIGNS.flags.writeable
+        for row, strategy in zip(STRATEGY_SIGNS, strategies):
+            assert np.array_equal(row, strategy_super_vector(strategy))
+
+    def test_enumeration_is_a_fresh_list(self):
+        strategies = enumerate_strategies()
+        strategies.clear()
+        assert len(enumerate_strategies()) == 64
+
+    @settings(derandomize=True, max_examples=300)
+    @given(arrays(float, (4, 2), elements=st.floats(-1e6, 1e6)))
+    def test_bound_matches_loop_bitwise(self, v):
+        bound = lhv_extremal_bound(v)
+        value, strategy = loop_extremal_bound(v)
+        assert np.float64(bound.maximum).tobytes() == np.float64(value).tobytes()
+        assert bound.argmax == strategy
+
+    @settings(derandomize=True, max_examples=300)
+    @given(arrays(float, (4, 2), elements=st.integers(-2, 2)))
+    def test_tied_bound_picks_first_in_order(self, v):
+        bound = lhv_extremal_bound(v)
+        value, strategy = loop_extremal_bound(v)
+        assert bound.maximum == value
+        assert bound.argmax == strategy
+
+    @pytest.mark.parametrize("shape", [(8,), (4, 3), (2, 2), (1, 4, 2), (64, 4, 2)])
+    def test_bound_rejects_wrong_shape(self, shape):
+        with pytest.raises(ValueError, match="shape"):
+            lhv_extremal_bound(np.ones(shape))
+
+    @settings(derandomize=True, max_examples=200)
+    @given(
+        st.lists(
+            st.tuples(st.integers(0, 63), st.floats(1e-6, 1.0)),
+            min_size=1,
+            max_size=64,
+            unique_by=lambda entry: entry[0],
+        )
+    )
+    def test_ensemble_matches_loop(self, entries):
+        strategies = enumerate_strategies()
+        weights = np.array([weight for _, weight in entries])
+        weights /= weights.sum()
+        ensemble = StrategyEnsemble(
+            tuple((strategies[i], float(w)) for (i, _), w in zip(entries, weights))
+        )
+        assert np.max(
+            np.abs(ensemble_super_vector(ensemble) - loop_ensemble_super_vector(ensemble))
+        ) <= 1e-15
 
 
 class TestStrategyEnsemble:

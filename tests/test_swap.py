@@ -4,10 +4,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from telebell.qstate import PureState, inner_product
 from telebell.swap import (
     TSIRELSON_BOUND,
+    _analyzer_angle,
     chsh_on_pair,
     max_chsh,
     pair_correlation,
@@ -33,6 +37,23 @@ def analytic_post_state(outcome):
         "11": [r, 0, 0, -r],
     }[outcome]
     return PureState(np.array(amplitudes, dtype=complex), ("D", "C"))
+
+
+def grid_reference_chsh(state, step_deg=3.0):
+    """Reference: best CHSH value over a four-axis grid of analyzer angles.
+
+    Uses E(a, b) = u(a) . M u(b) with u(t) = (cos 2t, sin 2t) and M from four
+    Born-rule correlations; once Alice's pair is fixed, S separates into
+    max_b (E(a,b) + E(a',b)) + max_b' (E(a',b') - E(a,b')).
+    """
+    axes = (0.0, math.pi / 4)
+    m = np.array([[pair_correlation(state, a, b) for b in axes] for a in axes])
+    thetas = np.radians(np.arange(0.0, 180.0, step_deg))
+    directions = np.column_stack([np.cos(2 * thetas), np.sin(2 * thetas)])
+    grid = directions @ m @ directions.T
+    same = grid[:, None, :] + grid[None, :, :]
+    diff = grid[None, :, :] - grid[:, None, :]
+    return float((same.max(axis=2) + diff.max(axis=2)).max())
 
 
 class TestInitialState:
@@ -133,26 +154,43 @@ class TestChshOnPair:
 class TestMaxChsh:
     def test_entangled_pairs_reach_bound(self):
         for outcome in ("00", "10"):
-            scan = max_chsh(analytic_post_state(outcome), grid_step_deg=3.0)
+            scan = max_chsh(analytic_post_state(outcome))
             assert abs(scan.value - TSIRELSON_BOUND) <= 1e-6
             assert scan.value <= TSIRELSON_BOUND + 1e-9
             assert scan.grid_value <= scan.value + 1e-9
 
     def test_born_value_at_scan_angles_matches(self):
-        scan = max_chsh(analytic_post_state("01"), grid_step_deg=3.0)
+        scan = max_chsh(analytic_post_state("01"))
         assert chsh_on_pair(analytic_post_state("01"), scan.angles) == pytest.approx(
             scan.value, abs=1e-12
         )
 
     def test_product_state_stays_classical(self):
         product = PureState(np.array([1, 0, 0, 0], dtype=complex), ("D", "C"))
-        scan = max_chsh(product, grid_step_deg=3.0)
+        scan = max_chsh(product)
         assert scan.value <= 2.0 + 1e-9
         assert scan.value == pytest.approx(2.0, abs=1e-6)
 
-    def test_invalid_grid_step(self):
-        with pytest.raises(ValueError):
-            max_chsh(analytic_post_state("00"), grid_step_deg=0.0)
+    def test_angle_fold_stays_below_pi(self):
+        # a direction just below the x axis has a half-angle of about -5e-18,
+        # which reduces mod pi to exactly pi in floating point
+        assert _analyzer_angle(np.array([1.0, -1e-17])) == 0.0
+        assert _analyzer_angle(np.array([0.0, -1.0])) == pytest.approx(3 * math.pi / 4)
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(
+        arrays(float, 8, elements=st.floats(-1.0, 1.0)).filter(
+            lambda x: np.linalg.norm(x) > 0.1
+        )
+    )
+    def test_random_states_against_grid_reference(self, parts):
+        state = PureState(parts[:4] + 1j * parts[4:], ("D", "C")).normalize()
+        scan = max_chsh(state)
+        assert scan.value >= grid_reference_chsh(state) - 1e-12
+        assert chsh_on_pair(state, scan.angles) == pytest.approx(scan.value, abs=1e-12)
+        assert scan.value <= TSIRELSON_BOUND + 1e-9
+        assert abs(scan.grid_value - scan.value) <= 1e-12
+        assert all(0.0 <= angle < math.pi for angle in scan.angles)
 
 
 class TestSingleOutcomeSubensemble:
