@@ -13,15 +13,15 @@ import csv
 import functools
 import io
 import itertools
-import json
 import math
 import sys
+from json.encoder import encode_basestring_ascii
 from typing import Callable
 
 import numpy as np
 
 from .corrvec import correlation_closed_form, super_norm_sq, build_quantum_super_vector
-from .lhv import STRATEGY_SIGNS, bell_test, lhv_extremal_bound
+from .lhv import STRATEGY_SIGNS, bell_test, check_visibility, lhv_extremal_bound
 from .noise import violation_threshold
 from .schema import SCHEMA_VERSION
 from .swap import TSIRELSON_BOUND, reduced_purity, run_swap
@@ -37,6 +37,10 @@ from .teleport import (
 
 CHECK_TOL = 1e-12
 MAX_SCAN_ROWS = 1_000_000
+# 100 turns.  Within it the degree-to-radian conversion and the reduction
+# mod 2 pi lose less than 1e-13 rad, so printed values keep the 1e-12
+# contract; far beyond it the reduced angle carries no meaning.
+MAX_ANGLE_DEG = 36_000.0
 _GRID_AXES = ("beta", "phi", "beta-prime", "phi-prime")
 
 __all__ = ["main", "build_parser", "InvariantBreach", "UsageError"]
@@ -55,20 +59,44 @@ def _fmt(value: float) -> str:
     return f"{value + 0.0:.12g}"
 
 
-def _round_floats(obj):
-    if isinstance(obj, bool):
-        return obj
-    if isinstance(obj, (float, np.floating)):
-        return float(_fmt(float(obj)))
+def _json_float(value: float) -> str:
+    rounded = float(_fmt(value))
+    if math.isfinite(rounded):
+        return repr(rounded)
+    if rounded != rounded:
+        return "NaN"
+    return "Infinity" if rounded > 0.0 else "-Infinity"
+
+
+def _json(obj, indent: str) -> str:
+    """``json.dumps(obj, indent=2)`` with every float fixed at 12 significant digits."""
+    if isinstance(obj, float):
+        return _json_float(obj)
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    inner = indent + "  "
     if isinstance(obj, dict):
-        return {key: _round_floats(value) for key, value in obj.items()}
+        if not obj:
+            return "{}"
+        items = [f"{inner}{encode_basestring_ascii(k)}: {_json(v, inner)}" for k, v in obj.items()]
+        return "{\n" + ",\n".join(items) + "\n" + indent + "}"
     if isinstance(obj, (list, tuple)):
-        return [_round_floats(value) for value in obj]
-    return obj
+        if not obj:
+            return "[]"
+        return "[\n" + ",\n".join(inner + _json(v, inner) for v in obj) + "\n" + indent + "]"
+    if isinstance(obj, bool):
+        return "true" if obj else "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if isinstance(obj, np.floating):
+        return _json_float(float(obj))
+    if obj is None:
+        return "null"
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def _render_json(payload: dict) -> str:
-    return json.dumps(_round_floats(payload), indent=2) + "\n"
+    return _json(payload, "") + "\n"
 
 
 def _require_checks(checks: dict[str, float]) -> dict[str, float]:
@@ -79,10 +107,11 @@ def _require_checks(checks: dict[str, float]) -> dict[str, float]:
 
 
 def _visibility_arg(text: str) -> float:
-    value = float(text)
-    if not (math.isfinite(value) and 0.0 <= value <= 1.0):
-        raise argparse.ArgumentTypeError(f"visibility must lie in [0, 1], got {text!r}")
-    return value
+    float(text)  # a non-number raises ValueError here: argparse's "invalid value" message
+    try:
+        return check_visibility(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _angle_arg(text: str) -> float:
@@ -92,6 +121,10 @@ def _angle_arg(text: str) -> float:
         raise argparse.ArgumentTypeError(f"invalid angle {text!r}") from None
     if not math.isfinite(value):
         raise argparse.ArgumentTypeError(f"angle must be finite, got {text!r}")
+    if abs(value) > MAX_ANGLE_DEG:
+        raise argparse.ArgumentTypeError(
+            f"angle must lie within +-{MAX_ANGLE_DEG:g} degrees, got {text!r}"
+        )
     return value
 
 
@@ -120,6 +153,10 @@ def _grid_arg(text: str) -> tuple[str, list[float]]:
     if not math.isfinite(span) or span >= MAX_SCAN_ROWS:
         raise argparse.ArgumentTypeError(
             f"grid axis {axis} has more than {MAX_SCAN_ROWS} points, the row limit"
+        )
+    if max(abs(start), abs(stop)) > MAX_ANGLE_DEG:
+        raise argparse.ArgumentTypeError(
+            f"grid range must lie within +-{MAX_ANGLE_DEG:g} degrees, got {rest!r}"
         )
     count = int(math.floor(span)) + 1
     return axis, [start + i * step for i in range(count)]

@@ -35,6 +35,8 @@ _VECTOR_CHOICES = ((-1, -1), (-1, 1), (1, -1), (1, 1))
 __all__ = [
     "VIOLATION_TOL",
     "STRATEGY_SIGNS",
+    "QUANTUM_SUPER_VECTOR",
+    "QUANTUM_BOUND",
     "DeterministicStrategy",
     "StrategyEnsemble",
     "BellTestReport",
@@ -44,6 +46,7 @@ __all__ = [
     "lhv_extremal_bound",
     "ensemble_super_vector",
     "ensemble_correlation",
+    "check_visibility",
     "bell_test",
 ]
 
@@ -126,6 +129,13 @@ def lhv_extremal_bound(v_qm) -> ExtremalBound:
     return ExtremalBound(float(values[best]), _STRATEGIES[best])
 
 
+# The quantum super-vector over the standard grid and its exhaustive LHV
+# bound: fixed by the scenario, so built once from that machinery.
+QUANTUM_SUPER_VECTOR = build_quantum_super_vector()
+QUANTUM_SUPER_VECTOR.setflags(write=False)
+QUANTUM_BOUND = lhv_extremal_bound(QUANTUM_SUPER_VECTOR)
+
+
 @dataclass(frozen=True)
 class StrategyEnsemble:
     """Finite mixture of deterministic strategies with normalized weights."""
@@ -178,6 +188,14 @@ class BellTestReport:
     optimal_strategy: DeterministicStrategy
 
 
+def check_visibility(visibility) -> float:
+    """Visibility as a float, refusing anything outside [0, 1] or not finite."""
+    v = float(visibility)
+    if not (isfinite(v) and 0.0 <= v <= 1.0):
+        raise ValueError(f"visibility must lie in [0, 1], got {visibility!r}")
+    return v
+
+
 def bell_test(visibility: float = 1.0) -> BellTestReport:
     """Compare the quantum prediction against the exhaustive LHV bound.
 
@@ -185,16 +203,14 @@ def bell_test(visibility: float = 1.0) -> BellTestReport:
     reduced visibility scales the predicted correlations, hence the scalar
     product, by the visibility factor.
     """
-    if not (isfinite(visibility) and 0.0 <= visibility <= 1.0):
-        raise ValueError(f"visibility must lie in [0, 1], got {visibility!r}")
-    quantum = build_quantum_super_vector()
-    bound = lhv_extremal_bound(quantum)
-    quantum_value = super_dot(quantum, visibility * quantum)
+    visibility = check_visibility(visibility)
+    quantum_value = super_dot(QUANTUM_SUPER_VECTOR, visibility * QUANTUM_SUPER_VECTOR)
+    bound = QUANTUM_BOUND.maximum
     return BellTestReport(
         quantum_value=quantum_value,
-        lhv_upper_bound=bound.maximum,
-        lhv_lower_bound=-bound.maximum,
-        violated=bool(quantum_value > bound.maximum + VIOLATION_TOL),
-        violation_ratio=quantum_value / bound.maximum,
-        optimal_strategy=bound.argmax,
+        lhv_upper_bound=bound,
+        lhv_lower_bound=-bound,
+        violated=bool(quantum_value > bound + VIOLATION_TOL),
+        violation_ratio=quantum_value / bound,
+        optimal_strategy=QUANTUM_BOUND.argmax,
     )

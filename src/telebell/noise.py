@@ -9,10 +9,8 @@ sqrt(2), i.e. at v = 1/sqrt(2), about 71 percent.
 
 from __future__ import annotations
 
-from math import isfinite
-
-from .corrvec import build_quantum_super_vector, super_norm_sq
-from .lhv import lhv_extremal_bound
+from .corrvec import super_norm_sq
+from .lhv import QUANTUM_BOUND, QUANTUM_SUPER_VECTOR, check_visibility
 from .teleport import (
     AnalyzerSettings,
     JointDistribution,
@@ -23,18 +21,11 @@ from .teleport import (
 __all__ = ["noisy_joint_distribution", "violation_threshold"]
 
 
-def _check_visibility(visibility: float) -> float:
-    v = float(visibility)
-    if not (isfinite(v) and 0.0 <= v <= 1.0):
-        raise ValueError(f"visibility must lie in [0, 1], got {visibility!r}")
-    return v
-
-
 def noisy_joint_distribution(
     prep: PreparationSettings, analyzer: AnalyzerSettings, visibility: float
 ) -> JointDistribution:
     """Ideal distribution mixed with uniform noise at the given visibility."""
-    v = _check_visibility(visibility)
+    v = check_visibility(visibility)
     ideal = joint_distribution_closed_form(prep, analyzer)
     return JointDistribution(v * ideal.table + (1.0 - v) / 8.0).validate()
 
@@ -45,6 +36,4 @@ def violation_threshold() -> float:
     Computed from the bound machinery itself (the scaled quantum value is
     ``v * super_norm_sq``), not hard-coded; evaluates to 1/sqrt(2).
     """
-    quantum = build_quantum_super_vector()
-    bound = lhv_extremal_bound(quantum).maximum
-    return bound / super_norm_sq(quantum)
+    return QUANTUM_BOUND.maximum / super_norm_sq(QUANTUM_SUPER_VECTOR)

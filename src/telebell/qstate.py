@@ -33,6 +33,7 @@ __all__ = [
     "tensor_product",
     "inner_product",
     "partial_inner",
+    "basis_coefficients",
     "measure_probabilities",
     "apply_local_unitary",
     "clamp_probability",
@@ -120,12 +121,13 @@ class ProjectiveBasis:
 
     Orthonormality and completeness (state count equals the subspace
     dimension) are enforced at construction, so every instance is safe to
-    measure against.
+    measure against.  ``matrix`` holds the states' amplitudes as rows
+    (read-only).
     """
 
     states: tuple[PureState, ...]
     outcome_labels: tuple[str, ...]
-    _matrix: np.ndarray = field(init=False, repr=False)
+    matrix: np.ndarray = field(init=False, repr=False)
     _matrix_conj: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -150,7 +152,7 @@ class ProjectiveBasis:
         matrix_conj.setflags(write=False)
         object.__setattr__(self, "states", states)
         object.__setattr__(self, "outcome_labels", labels)
-        object.__setattr__(self, "_matrix", matrix)
+        object.__setattr__(self, "matrix", matrix)
         object.__setattr__(self, "_matrix_conj", matrix_conj)
 
     @property
@@ -207,6 +209,28 @@ def partial_inner(bra: PureState, state: PureState) -> PureState:
     return _trusted_state(bra.amplitudes.conj() @ mat, rest)
 
 
+def basis_coefficients(state: PureState, basis: ProjectiveBasis, measured_labels) -> np.ndarray:
+    """Coefficient rows ``<b_j|psi>`` of a basis on a labelled subsystem.
+
+    Row ``j`` is the unnormalized residual left on the remaining labels (in
+    their original order) when ``state`` is projected on basis element
+    ``j``; its squared norm is that outcome's Born probability.  Returns an
+    array of shape ``(len(basis.states), 2 ** remaining qubits)``.
+    """
+    measured = tuple(measured_labels)
+    if basis.subsystem_labels != measured:
+        raise ValueError(
+            f"basis lives on {basis.subsystem_labels}, measurement requested on {measured}"
+        )
+    perm, _ = _front_permutation(state, measured)
+    mat = (
+        state.amplitudes.reshape([2] * state.num_qubits)
+        .transpose(perm)
+        .reshape(2 ** len(measured), -1)
+    )
+    return basis._matrix_conj @ mat
+
+
 def measure_probabilities(
     state: PureState,
     basis: ProjectiveBasis,
@@ -233,19 +257,13 @@ def measure_probabilities(
     measured = tuple(measured_labels)
     if not state.is_unit():
         raise ValueError("state must be normalized before measurement")
-    if basis.subsystem_labels != measured:
-        raise ValueError(
-            f"basis lives on {basis.subsystem_labels}, measurement requested on {measured}"
-        )
-    n = state.num_qubits
-    perm, _ = _front_permutation(state, measured)
-    inverse = [0] * n
-    for position, axis in enumerate(perm):
-        inverse[axis] = position
-    mat = state.amplitudes.reshape([2] * n).transpose(perm).reshape(2 ** len(measured), -1)
-    coeffs = basis._matrix_conj @ mat
+    coeffs = basis_coefficients(state, basis, measured)
     probs = np.einsum("ij,ij->i", coeffs, coeffs.conj()).real
 
+    n = state.num_qubits
+    if compute_post_states:
+        perm, _ = _front_permutation(state, measured)
+        inverse = [perm.index(axis) for axis in range(n)]
     results: list[tuple[str, float, PureState | None]] = []
     for j, outcome in enumerate(basis.outcome_labels):
         p = clamp_probability(float(probs[j]))

@@ -16,20 +16,20 @@ stored on the (B, A) subspace with B as the most significant bit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from math import cos, degrees, isfinite, pi, radians, sin, sqrt
+from operator import add
 
 import numpy as np
 
 from .qstate import (
     ATOL,
+    PROB_FLOOR,
     ProjectiveBasis,
     PureState,
-    apply_local_unitary,
-    inner_product,
-    measure_probabilities,
-    partial_inner,
+    basis_coefficients,
+    clamp_probability,
     tensor_product,
 )
 
@@ -147,20 +147,28 @@ class JointDistribution:
     """
 
     table: np.ndarray
+    _largest: float = field(init=False, repr=False)
+    _marginal: tuple[float, ...] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         table = np.array(self.table, dtype=float)
         if table.shape != (4, 2):
             raise ValueError(f"expected a (4, 2) probability table, got shape {table.shape}")
-        if not np.all(np.isfinite(table)):
+        # the checks run on the eight entries as plain floats: cheaper than
+        # numpy reductions at this size, and ``validate`` reuses the sums
+        entries = table.ravel().tolist()
+        if not all(map(isfinite, entries)):
             raise ValueError("probabilities must be finite")
-        low = float(np.min(table))
+        low = min(entries)
         if low < 0.0:
             if low < -ATOL:
                 raise ValueError("negative probability beyond rounding tolerance")
-            table = np.where(table < 0.0, 0.0, table)
+            entries = [0.0 if p < 0.0 else p for p in entries]
+            table = np.array(entries).reshape(4, 2)
         table.setflags(write=False)
         object.__setattr__(self, "table", table)
+        object.__setattr__(self, "_largest", max(entries))
+        object.__setattr__(self, "_marginal", tuple(map(add, entries[0::2], entries[1::2])))
 
     def probability(self, bell: str, bob: str) -> float:
         return float(self.table[_bell_index(bell), _bob_index(bob)])
@@ -172,13 +180,13 @@ class JointDistribution:
                 yield (bell, bob), float(self.table[i, j])
 
     def validate(self, tol: float = 1e-12) -> "JointDistribution":
-        if float(np.max(self.table)) > 1.0 + tol:
+        if self._largest > 1.0 + tol:
             raise ValueError("probability above 1")
-        if abs(float(self.table.sum()) - 1.0) > tol:
-            raise ValueError(f"probabilities sum to {self.table.sum()!r}, not 1")
-        marginal = self.table.sum(axis=1)
-        if float(np.max(np.abs(marginal - 0.25))) > tol:
-            raise ValueError(f"Bell-outcome marginal {marginal!r} is not flat 1/4")
+        total = sum(self._marginal)
+        if abs(total - 1.0) > tol:
+            raise ValueError(f"probabilities sum to {total!r}, not 1")
+        if max(abs(m - 0.25) for m in self._marginal) > tol:
+            raise ValueError(f"Bell-outcome marginal {self._marginal!r} is not flat 1/4")
         return self
 
 
@@ -220,7 +228,6 @@ def dichotomic_basis(beta: float, phi: float, label: str) -> ProjectiveBasis:
     return ProjectiveBasis((zero, one), BOB_OUTCOMES)
 
 
-@lru_cache(maxsize=1024)
 def bob_basis(analyzer: AnalyzerSettings) -> ProjectiveBasis:
     """Bob's analyzer basis on qubit C."""
     return dichotomic_basis(analyzer.beta_prime, analyzer.phi_prime, "C")
@@ -246,10 +253,14 @@ def joint_distribution_closed_form(
     return JointDistribution(table).validate()
 
 
-@lru_cache(maxsize=512)
-def _alice_stage(prep: PreparationSettings) -> tuple[tuple[str, float, PureState | None], ...]:
-    """Bell measurement results for the initial state; independent of Bob."""
-    return tuple(measure_probabilities(initial_state(prep), bell_basis(), ("B", "A")))
+def _bell_stage(prep: PreparationSettings) -> np.ndarray:
+    """Alice's Bell measurement on (B, A) of the initial state; independent of Bob.
+
+    A (4, 2) array whose row j is ``<b_j|psi>``: qubit C's unnormalized
+    state given Bell outcome j, whose squared norm is that outcome's
+    probability.
+    """
+    return basis_coefficients(initial_state(prep), bell_basis(), ("B", "A"))
 
 
 def joint_distribution_simulated(
@@ -257,17 +268,12 @@ def joint_distribution_simulated(
 ) -> JointDistribution:
     """Born-rule oracle: measure the Bell basis on (B, A), then Bob's on C.
 
-    Independent of the closed form; the two must agree within 1e-12.
+    Entry (j, k) is ``|<a_k|r_j>|^2`` for Bell-stage row ``r_j`` and Bob's
+    basis state ``a_k``.  Independent of the closed form; the two must
+    agree within 1e-12.
     """
-    analyzer_basis = bob_basis(analyzer)
-    table = np.zeros((4, 2))
-    for row, (_, p_bell, post) in enumerate(_alice_stage(prep)):
-        if post is None:
-            continue
-        bob = measure_probabilities(post, analyzer_basis, ("C",), compute_post_states=False)
-        for col, (_, p_bob, _) in enumerate(bob):
-            table[row, col] = p_bell * p_bob
-    return JointDistribution(table).validate()
+    amplitudes = _bell_stage(prep) @ bob_basis(analyzer).matrix.conj().T
+    return JointDistribution(np.abs(amplitudes) ** 2).validate()
 
 
 _CORRECTIONS = {
@@ -276,7 +282,9 @@ _CORRECTIONS = {
     "10": np.array([[0.0, -1.0], [1.0, 0.0]], dtype=complex),
     "11": np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex),
 }
-for _u in _CORRECTIONS.values():
+for _outcome, _u in _CORRECTIONS.items():
+    if np.max(np.abs(_u.conj().T @ _u - np.eye(2))) > ATOL:
+        raise RuntimeError(f"correction for Bell outcome {_outcome} is not unitary")
     _u.setflags(write=False)
 
 
@@ -296,17 +304,16 @@ def run_full_teleportation(prep: PreparationSettings) -> list[tuple[str, float, 
     """Simulate the corrected protocol end to end.
 
     Returns ``[(bell outcome, probability, fidelity after correction), ...]``;
-    every probability is 1/4 and every fidelity 1, up to rounding.
+    every probability is 1/4 and every fidelity 1, up to rounding.  For
+    Bell-stage row ``r`` with probability ``p = |r|^2``, correction ``U`` and
+    prepared amplitudes ``a``, the fidelity is ``|<a|U r> / sqrt(p)|^2``.
     """
-    state = initial_state(prep)
-    target = PureState(_preparation_amplitudes(prep), ("C",))
-    basis = bell_basis()
+    target = _preparation_amplitudes(prep)
     results = []
-    for idx, (outcome, p, post) in enumerate(measure_probabilities(state, basis, ("B", "A"))):
-        if post is None:
+    for outcome, row in zip(BELL_OUTCOMES, _bell_stage(prep)):
+        p = clamp_probability(float(np.vdot(row, row).real))
+        if p < PROB_FLOOR:
             raise RuntimeError(f"Bell outcome {outcome} unexpectedly has zero probability")
-        corrected = apply_local_unitary(post, correction_unitary(outcome), "C")
-        residual = partial_inner(basis.states[idx], corrected).normalize()
-        fidelity = abs(inner_product(target, residual)) ** 2
-        results.append((outcome, p, fidelity))
+        overlap = complex(np.vdot(target, _CORRECTIONS[outcome] @ row))
+        results.append((outcome, p, abs(overlap / sqrt(p)) ** 2))
     return results

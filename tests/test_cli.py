@@ -10,7 +10,10 @@ import subprocess
 import sys
 
 import jsonschema
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from telebell import cli
 from telebell.schema import available_schemas, load_schema
@@ -18,6 +21,50 @@ from telebell.schema import available_schemas, load_schema
 SQRT_HALF = math.sqrt(0.5)
 ANGLE_OPTIONS = ("--beta", "--phi", "--beta-prime", "--phi-prime")
 ADDRESS_SPACE_CAP = 1 << 30
+
+
+def round_floats(obj):
+    """Reference rounding: every float fixed at 12 significant digits."""
+    if isinstance(obj, bool):
+        return obj
+    if isinstance(obj, (float, np.floating)):
+        return float(cli._fmt(float(obj)))
+    if isinstance(obj, dict):
+        return {key: round_floats(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [round_floats(value) for value in obj]
+    return obj
+
+
+def probs_formula(beta, phi, beta_prime, phi_prime):
+    cc = math.cos(2 * beta) * math.cos(2 * beta_prime)
+    ss = math.sin(2 * beta) * math.sin(2 * beta_prime)
+    minus, plus = math.cos(phi - phi_prime), math.cos(phi + phi_prime)
+    zero = [
+        (1 - cc + ss * minus) / 8,
+        (1 + cc + ss * plus) / 8,
+        (1 + cc - ss * plus) / 8,
+        (1 - cc - ss * minus) / 8,
+    ]
+    return [[p, 0.25 - p] for p in zero]
+
+
+def reference_render(payload):
+    return json.dumps(round_floats(payload), indent=2) + "\n"
+
+
+JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-(2**70), 2**70)
+    | st.floats()
+    | st.floats().map(np.float64)
+    | st.text(),
+    lambda children: st.lists(children, max_size=4)
+    | st.lists(children, max_size=4).map(tuple)
+    | st.dictionaries(st.text(max_size=6), children, max_size=4),
+    max_leaves=30,
+)
 
 
 def run_cli(args, capsys):
@@ -74,6 +121,33 @@ class TestProbs:
         assert captured.out == ""
         assert "finite" in captured.err
 
+    @pytest.mark.parametrize("value", ["1e300", "-1e300", "36000.5", "-36001"])
+    @pytest.mark.parametrize("option", ANGLE_OPTIONS)
+    def test_huge_angle_exits_2(self, option, value, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(["probs", f"{option}={value}"])
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "degrees" in captured.err
+
+    @pytest.mark.parametrize(
+        "angles", [(-36000, 35999.3, -35912.77, 36000), (35987.1, -36000, 1e-3, -35999.9)]
+    )
+    def test_angles_near_the_limit_keep_the_contract(self, angles, capsys):
+        # reference: the formula at each angle reduced mod 360 degrees first,
+        # which is exact for floats; the CLI reduces after converting to radians
+        argv = ["probs"]
+        for option, value in zip(ANGLE_OPTIONS, angles):
+            argv.append(f"{option}={value!r}")
+        code, out, _ = run_cli(argv, capsys)
+        assert code == 0
+        payload = json.loads(out)
+        reference = probs_formula(*(math.radians(math.fmod(a, 360.0)) for a in angles))
+        for row, bell in enumerate(("00", "01", "10", "11")):
+            for col, bob in enumerate(("0", "1")):
+                assert abs(payload["probabilities"][bell][bob] - reference[row][col]) <= 1e-12
+
     def test_out_unwritable_path_exits_2(self, tmp_path, capsys):
         code, out, err = run_cli(["probs", "--out", str(tmp_path / "missing" / "x.json")], capsys)
         assert code == 2
@@ -111,6 +185,23 @@ class TestBellTest:
         with pytest.raises(SystemExit) as excinfo:
             cli.main(["bell-test", "--visibility", "1.5"])
         assert excinfo.value.code == 2
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("1.50", "visibility must lie in [0, 1], got '1.50'"),
+            ("nan", "visibility must lie in [0, 1], got 'nan'"),
+            ("-0.1", "visibility must lie in [0, 1], got '-0.1'"),
+            ("abc", "invalid _visibility_arg value: 'abc'"),
+        ],
+    )
+    def test_visibility_messages(self, text, message, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(["bell-test", f"--visibility={text}"])
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
 
 
 class TestScan:
@@ -179,6 +270,17 @@ class TestScan:
         assert result.stdout == ""
         assert "row limit" in result.stderr
         assert "Traceback" not in result.stderr
+
+    @pytest.mark.parametrize(
+        "grid", ["phi=1e300:1e300:1", "beta=-36000.5:0:36000", "phi-prime=0:36001:36001"]
+    )
+    def test_huge_grid_range_exits_2(self, grid, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(["scan", "--grid", grid])
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "degrees" in captured.err
 
     def test_malformed_grid_exits_2(self, capsys):
         for bad in ("beta", "beta=1:2", "gamma=0:1:1", "beta=0:1:0", "beta=a:b:c"):
@@ -253,6 +355,32 @@ SUBCOMMANDS = {
     "noise_threshold": ["noise-threshold"],
     "teleport_fidelity": ["teleport-fidelity", "--beta", "30", "--phi", "77"],
 }
+
+
+class TestRenderJson:
+    def test_payload_edge_cases(self):
+        payload = {
+            "zero": -0.0,
+            "np": np.float64(-1e-300),
+            "float32": np.float32(0.1),
+            "ints": [0, -7, 2**64],
+            "flags": (True, False, None),
+            "empty": {"list": [], "tuple": (), "dict": {}},
+            "text": "\u00e9\u6f22\U0001f600 \"q\" \\ \n\t\x00",
+            "\u00fc": [1.23456789012345e-7, 123456789012345.0, math.inf, -math.inf, math.nan],
+            "nested": [[{"a": [0.1 + 0.2]}]],
+        }
+        assert cli._render_json(payload) == reference_render(payload)
+
+    @settings(derandomize=True, max_examples=500)
+    @given(JSON_VALUES)
+    def test_matches_reference(self, value):
+        payload = {"value": value}
+        assert cli._render_json(payload) == reference_render(payload)
+
+    def test_rejects_unknown_type(self):
+        with pytest.raises(TypeError):
+            cli._render_json({"x": object()})
 
 
 class TestDeterminism:

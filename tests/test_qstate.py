@@ -1,13 +1,18 @@
 """Tests for the labelled state-vector engine."""
 
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from telebell.qstate import (
     ATOL,
     ProjectiveBasis,
     PureState,
     apply_local_unitary,
+    basis_coefficients,
     clamp_probability,
     inner_product,
     measure_probabilities,
@@ -213,6 +218,52 @@ class TestMeasureProbabilities:
     def test_basis_label_mismatch(self):
         with pytest.raises(ValueError, match="basis lives on"):
             measure_probabilities(ket("00", ("A", "B")), z_basis("A"), ("B",))
+
+
+def random_basis(rng, labels):
+    dim = 2 ** len(labels)
+    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    q, _ = np.linalg.qr(g)
+    return ProjectiveBasis(
+        tuple(PureState(row, labels) for row in q.T), tuple(str(j) for j in range(dim))
+    )
+
+
+LABELS = ("A", "B", "C", "D")
+
+
+class TestBasisCoefficients:
+    @settings(derandomize=True, max_examples=200)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(2, 4).flatmap(
+            lambda n: st.tuples(
+                st.just(n), st.sampled_from(list(itertools.permutations(LABELS[:n])))
+            )
+        ),
+        st.integers(1, 3),
+    )
+    def test_rows_match_measure_probabilities(self, seed, sizes, measured_count):
+        n, order = sizes
+        measured = order[: min(measured_count, n - 1)]
+        rng = np.random.default_rng(seed)
+        state = random_state(rng, LABELS[:n])
+        basis = random_basis(rng, measured)
+        coeffs = basis_coefficients(state, basis, measured)
+        results = measure_probabilities(state, basis, measured)
+        assert coeffs.shape == (2 ** len(measured), 2 ** (n - len(measured)))
+        for row, basis_state, (_, p, _) in zip(coeffs, basis.states, results):
+            assert abs(np.vdot(row, row).real - p) <= 1e-12
+            residual = partial_inner(basis_state, state)
+            assert np.max(np.abs(row - residual.amplitudes)) <= 1e-12
+
+    def test_basis_label_mismatch(self):
+        with pytest.raises(ValueError, match="basis lives on"):
+            basis_coefficients(ket("00", ("A", "B")), z_basis("A"), ("B",))
+
+    def test_unknown_label(self):
+        with pytest.raises(ValueError, match="unknown factor label"):
+            basis_coefficients(ket("00", ("A", "B")), z_basis("C"), ("C",))
 
 
 class TestApplyLocalUnitary:

@@ -4,8 +4,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from telebell.qstate import PureState, inner_product, measure_probabilities, partial_inner
+from telebell.qstate import (
+    PureState,
+    apply_local_unitary,
+    inner_product,
+    measure_probabilities,
+    partial_inner,
+)
 from telebell.teleport import (
     BELL_OUTCOMES,
     BOB_OUTCOMES,
@@ -22,6 +30,23 @@ from telebell.teleport import (
 )
 
 SQRT_HALF = 1 / math.sqrt(2.0)
+ANGLES = st.floats(-10.0, 10.0)
+
+
+def sequential_teleportation(prep):
+    """Reference protocol on 3-qubit states: Bell measurement with post
+    states, correction on C, contraction with the Bell state, overlap."""
+    state = initial_state(prep)
+    target = PureState(
+        np.array([math.sin(prep.beta), math.cos(prep.beta) * np.exp(1j * prep.phi)]), ("C",)
+    )
+    basis = bell_basis()
+    results = []
+    for idx, (outcome, p, post) in enumerate(measure_probabilities(state, basis, ("B", "A"))):
+        corrected = apply_local_unitary(post, correction_unitary(outcome), "C")
+        residual = partial_inner(basis.states[idx], corrected).normalize()
+        results.append((outcome, p, abs(inner_product(target, residual)) ** 2))
+    return results
 
 
 def closed_form_raw(beta, phi, beta_prime, phi_prime):
@@ -222,6 +247,35 @@ class TestSimulated:
                 table[row, col] = p_bob * p_bell
         assert np.max(np.abs(table - expected.table)) <= 1e-12
 
+    @settings(derandomize=True, max_examples=300)
+    @given(ANGLES, ANGLES, ANGLES, ANGLES)
+    def test_agrees_with_closed_form_at_random_settings(self, beta, phi, beta_prime, phi_prime):
+        prep = PreparationSettings(beta, phi)
+        analyzer = AnalyzerSettings(beta_prime, phi_prime)
+        closed = joint_distribution_closed_form(prep, analyzer)
+        simulated = joint_distribution_simulated(prep, analyzer)
+        assert np.max(np.abs(closed.table - simulated.table)) <= 1e-12
+
+    @settings(derandomize=True, max_examples=200)
+    @given(ANGLES, ANGLES, ANGLES, ANGLES)
+    def test_canonicalization_invariance(self, beta, phi, beta_prime, phi_prime):
+        # beta + pi is a global sign; beta -> pi - beta with phi + pi leaves the
+        # amplitudes and projectors unchanged.  Both sides, either way, must
+        # reproduce the formula at the original, unreduced angles.
+        raw = closed_form_raw(beta, phi, beta_prime, phi_prime)
+        shifts = (
+            lambda b, f: (b + math.pi, f),
+            lambda b, f: (math.pi - b, f + math.pi),
+        )
+        for shift in shifts:
+            prep = PreparationSettings(*shift(beta, phi))
+            analyzer = AnalyzerSettings(*shift(beta_prime, phi_prime))
+            for dist in (
+                joint_distribution_simulated(prep, analyzer),
+                joint_distribution_closed_form(prep, analyzer),
+            ):
+                assert np.max(np.abs(dist.table - raw)) <= 1e-12
+
     def test_phase_conjugation_symmetry(self):
         rng = np.random.default_rng(67)
         for _ in range(50):
@@ -257,6 +311,31 @@ class TestJointDistribution:
         table[0, 0] = -1e-14
         assert JointDistribution(table).probability("00", "0") == 0.0
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_entry(self, bad):
+        table = np.full((4, 2), 0.125)
+        table[2, 1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            JointDistribution(table)
+
+    @pytest.mark.parametrize("shape", [(8,), (2, 4), (4, 3), (3, 2), (4, 2, 1)])
+    def test_rejects_wrong_shape(self, shape):
+        with pytest.raises(ValueError, match="shape"):
+            JointDistribution(np.full(shape, 0.125))
+
+    def test_validate_rejects_entry_above_one(self):
+        table = np.zeros((4, 2))
+        table[0, 0] = 1.0 + 1e-9
+        with pytest.raises(ValueError, match="above 1"):
+            JointDistribution(table).validate()
+
+    def test_input_array_left_writable(self):
+        table = np.full((4, 2), 0.125)
+        dist = JointDistribution(table)
+        table[0, 0] = 0.5
+        assert dist.probability("00", "0") == 0.125
+        assert not dist.table.flags.writeable
+
     def test_unknown_outcome_labels(self):
         dist = JointDistribution(np.full((4, 2), 0.125))
         with pytest.raises(ValueError, match="Bell outcome"):
@@ -291,6 +370,17 @@ class TestFullProtocol:
         for _, p, fidelity in results:
             assert abs(p - 0.25) <= 1e-12
             assert abs(fidelity - 1.0) <= 1e-12
+
+    @settings(derandomize=True, max_examples=300)
+    @given(ANGLES, ANGLES)
+    def test_matches_sequential_reference(self, beta, phi):
+        prep = PreparationSettings(beta, phi)
+        got = run_full_teleportation(prep)
+        want = sequential_teleportation(prep)
+        assert [outcome for outcome, _, _ in got] == [outcome for outcome, _, _ in want]
+        for (_, p, fidelity), (_, p_ref, fidelity_ref) in zip(got, want):
+            assert abs(p - p_ref) <= 1e-12
+            assert abs(fidelity - fidelity_ref) <= 1e-12
 
     def test_outcome_probabilities_flat_for_random_preparations(self):
         rng = np.random.default_rng(73)
