@@ -128,7 +128,8 @@ def _angle_arg(text: str) -> float:
     return value
 
 
-def _grid_arg(text: str) -> tuple[str, list[float]]:
+def _grid_arg(text: str) -> tuple[str, float, float, int]:
+    """An axis spec as ``(axis, start, step, count)``; ``scan`` builds the points."""
     axis, sep, rest = text.partition("=")
     if not sep or axis not in _GRID_AXES:
         raise argparse.ArgumentTypeError(
@@ -158,8 +159,7 @@ def _grid_arg(text: str) -> tuple[str, list[float]]:
         raise argparse.ArgumentTypeError(
             f"grid range must lie within +-{MAX_ANGLE_DEG:g} degrees, got {rest!r}"
         )
-    count = int(math.floor(span)) + 1
-    return axis, [start + i * step for i in range(count)]
+    return axis, start, step, int(math.floor(span)) + 1
 
 
 def _add_angle_args(parser: argparse.ArgumentParser, *, analyzer: bool) -> None:
@@ -254,13 +254,14 @@ def _cmd_scan(args: argparse.Namespace) -> str:
         "beta-prime": [args.beta_prime],
         "phi-prime": [args.phi_prime],
     }
-    for axis, values in args.grid or ():
-        axes[axis] = values
-    rows = 1
-    for values in axes.values():
-        rows *= len(values)
+    # the last spec per axis wins; its points are built only once the
+    # whole grid is known to fit the row limit
+    specs = {axis: (start, step, count) for axis, start, step, count in args.grid or ()}
+    rows = math.prod(count for _, _, count in specs.values())
     if rows > MAX_SCAN_ROWS:
         raise UsageError(f"grid of {rows} rows exceeds the {MAX_SCAN_ROWS} row limit")
+    for axis, (start, step, count) in specs.items():
+        axes[axis] = [start + i * step for i in range(count)]
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(["beta", "phi", "beta_prime", "phi_prime", "E_x", "E_y"])

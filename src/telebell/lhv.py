@@ -166,10 +166,13 @@ def ensemble_correlation(
     ensemble: StrategyEnsemble, alice_phi_deg: float, bob_phi_deg: float
 ) -> np.ndarray:
     """Hidden-variable correlation vector at one setting pair of the grid."""
-    total = np.zeros(2)
-    for strategy, weight in ensemble.entries:
-        total += weight * strategy.bob_value(bob_phi_deg) * strategy.alice_vector(alice_phi_deg)
-    return total
+    try:
+        row = SETTING_PAIRS_DEGREES.index((alice_phi_deg, bob_phi_deg))
+    except ValueError:
+        raise ValueError(
+            f"unknown setting pair ({alice_phi_deg!r}, {bob_phi_deg!r}) degrees"
+        ) from None
+    return ensemble_super_vector(ensemble)[row]
 
 
 @dataclass(frozen=True)

@@ -192,6 +192,17 @@ def _front_permutation(state: PureState, front_labels: tuple[str, ...]) -> tuple
     return front + rest, tuple(state.factor_labels[i] for i in rest)
 
 
+def _front_matrix(state: PureState, front_labels: tuple[str, ...]) -> tuple[np.ndarray, tuple[str, ...]]:
+    """Amplitudes as a matrix: rows index ``front_labels``, columns the remaining labels."""
+    perm, rest = _front_permutation(state, front_labels)
+    mat = (
+        state.amplitudes.reshape([2] * state.num_qubits)
+        .transpose(perm)
+        .reshape(2 ** len(front_labels), -1)
+    )
+    return mat, rest
+
+
 def partial_inner(bra: PureState, state: PureState) -> PureState:
     """Contract ``<bra|`` against its subsystem of ``state``.
 
@@ -200,12 +211,7 @@ def partial_inner(bra: PureState, state: PureState) -> PureState:
     """
     if bra.num_qubits >= state.num_qubits:
         raise ValueError("bra must cover a strict subsystem; use inner_product for full overlap")
-    perm, rest = _front_permutation(state, bra.factor_labels)
-    mat = (
-        state.amplitudes.reshape([2] * state.num_qubits)
-        .transpose(perm)
-        .reshape(2**bra.num_qubits, -1)
-    )
+    mat, rest = _front_matrix(state, bra.factor_labels)
     return _trusted_state(bra.amplitudes.conj() @ mat, rest)
 
 
@@ -222,21 +228,12 @@ def basis_coefficients(state: PureState, basis: ProjectiveBasis, measured_labels
         raise ValueError(
             f"basis lives on {basis.subsystem_labels}, measurement requested on {measured}"
         )
-    perm, _ = _front_permutation(state, measured)
-    mat = (
-        state.amplitudes.reshape([2] * state.num_qubits)
-        .transpose(perm)
-        .reshape(2 ** len(measured), -1)
-    )
+    mat, _ = _front_matrix(state, measured)
     return basis._matrix_conj @ mat
 
 
 def measure_probabilities(
-    state: PureState,
-    basis: ProjectiveBasis,
-    measured_labels,
-    *,
-    compute_post_states: bool = True,
+    state: PureState, basis: ProjectiveBasis, measured_labels
 ) -> list[tuple[str, float, PureState | None]]:
     """Born-rule statistics of a projective measurement on a subsystem.
 
@@ -244,15 +241,13 @@ def measure_probabilities(
         state: unit-norm state; may be larger than the measured subsystem.
         basis: complete orthonormal basis on exactly ``measured_labels``.
         measured_labels: ordered subsystem labels, matching the basis states.
-        compute_post_states: skip post-state construction when only the
-            probabilities are needed.
 
     Returns:
         ``[(outcome_label, probability, post_state), ...]`` in basis order.
         ``post_state`` is the normalized projection of ``state`` onto the
         basis element (tensor identity on the rest), expressed in the
         original label order.  It is None for outcomes with probability
-        below ``PROB_FLOOR`` or when post states are not requested.
+        below ``PROB_FLOOR``.
     """
     measured = tuple(measured_labels)
     if not state.is_unit():
@@ -261,14 +256,13 @@ def measure_probabilities(
     probs = np.einsum("ij,ij->i", coeffs, coeffs.conj()).real
 
     n = state.num_qubits
-    if compute_post_states:
-        perm, _ = _front_permutation(state, measured)
-        inverse = [perm.index(axis) for axis in range(n)]
+    perm, _ = _front_permutation(state, measured)
+    inverse = [perm.index(axis) for axis in range(n)]
     results: list[tuple[str, float, PureState | None]] = []
     for j, outcome in enumerate(basis.outcome_labels):
         p = clamp_probability(float(probs[j]))
         post = None
-        if compute_post_states and p >= PROB_FLOOR:
+        if p >= PROB_FLOOR:
             residual = coeffs[j] / sqrt(p)
             full = _kron_1d(basis.states[j].amplitudes, residual)
             full = full.reshape([2] * n).transpose(inverse).reshape(-1)

@@ -20,7 +20,13 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .qstate import ProjectiveBasis, PureState, measure_probabilities, partial_inner, tensor_product
+from .qstate import (
+    PROB_FLOOR,
+    PureState,
+    basis_coefficients,
+    clamp_probability,
+    tensor_product,
+)
 from .teleport import BELL_OUTCOMES, bell_basis, dichotomic_basis
 
 TSIRELSON_BOUND = 2.0 * sqrt(2.0)
@@ -62,27 +68,21 @@ def reduced_purity(state: PureState, label: str) -> float:
     return float(np.trace(rho @ rho).real)
 
 
-def _pair_basis(state: PureState, angle_1: float, angle_2: float) -> ProjectiveBasis:
-    label_1, label_2 = state.factor_labels
-    first = dichotomic_basis(angle_1, 0.0, label_1)
-    second = dichotomic_basis(angle_2, 0.0, label_2)
-    states = tuple(
-        tensor_product(a, b) for a in first.states for b in second.states
-    )
-    return ProjectiveBasis(states, ("00", "01", "10", "11"))
-
-
 def pair_correlation(state: PureState, angle_1: float, angle_2: float) -> float:
     """Product correlation of two real dichotomic analyzers on a 2-qubit state.
 
-    Outcomes carry signs -1 (outcome "0") and +1 (outcome "1"); the product
-    is the same under the opposite convention.
+    Entry (k, l) of ``|R A^dagger|^2`` is the Born probability of outcomes
+    k and l, for the coefficient rows ``R`` of the first analyzer and the
+    second analyzer's basis matrix ``A``.  Outcomes carry signs -1 (outcome
+    "0") and +1 (outcome "1"); the product is the same under the opposite
+    convention.
     """
     if state.num_qubits != 2:
         raise ValueError("correlation is defined for 2-qubit states")
-    basis = _pair_basis(state, angle_1, angle_2)
-    results = measure_probabilities(state, basis, state.factor_labels, compute_post_states=False)
-    p = [value for _, value, _ in results]
+    first, second = state.factor_labels
+    rows = basis_coefficients(state, dichotomic_basis(angle_1, 0.0, first), (first,))
+    amplitudes = rows @ dichotomic_basis(angle_2, 0.0, second).matrix.conj().T
+    p = (np.abs(amplitudes) ** 2).ravel().tolist()
     return p[0] - p[1] - p[2] + p[3]
 
 
@@ -180,14 +180,22 @@ class SwapReport:
     chsh_angles: dict[str, tuple[float, float, float, float]]
 
 
-def _post_selected_pair(outcome: str) -> tuple[float, PureState]:
-    basis = bell_basis()
-    idx = BELL_OUTCOMES.index(outcome)
-    results = measure_probabilities(swap_initial_state(), basis, ("B", "A"))
-    _, probability, post = results[idx]
-    if post is None:
-        raise RuntimeError(f"Bell outcome {outcome} unexpectedly has zero probability")
-    return probability, partial_inner(basis.states[idx], post).normalize()
+def _swap_stage() -> list[tuple[float, PureState]]:
+    """Bell measurement on (B, A) of the double EPR state, one entry per outcome.
+
+    Row j of the coefficient array is ``<b_j|psi>``, the unnormalized (D, C)
+    pair given Bell outcome j; its squared norm is that outcome's
+    probability.
+    """
+    rows = basis_coefficients(swap_initial_state(), bell_basis(), ("B", "A"))
+    probabilities = np.einsum("ij,ij->i", rows, rows.conj()).real
+    stage = []
+    for outcome, row, raw in zip(BELL_OUTCOMES, rows, probabilities):
+        p = clamp_probability(float(raw))
+        if p < PROB_FLOOR:
+            raise RuntimeError(f"Bell outcome {outcome} unexpectedly has zero probability")
+        stage.append((p, PureState(row / sqrt(p), ("D", "C"))))
+    return stage
 
 
 def run_swap() -> SwapReport:
@@ -196,8 +204,7 @@ def run_swap() -> SwapReport:
     posts: dict[str, PureState] = {}
     chsh_values: dict[str, float] = {}
     chsh_angles: dict[str, tuple[float, float, float, float]] = {}
-    for outcome in BELL_OUTCOMES:
-        probability, pair = _post_selected_pair(outcome)
+    for outcome, (probability, pair) in zip(BELL_OUTCOMES, _swap_stage()):
         scan = max_chsh(pair)
         probabilities[outcome] = probability
         posts[outcome] = pair
@@ -214,5 +221,5 @@ def single_outcome_subensemble(outcome: str) -> tuple[float, float]:
     """
     if outcome not in BELL_OUTCOMES:
         raise ValueError(f"unknown Bell outcome {outcome!r}")
-    probability, pair = _post_selected_pair(outcome)
+    probability, pair = _swap_stage()[BELL_OUTCOMES.index(outcome)]
     return probability, max_chsh(pair).value

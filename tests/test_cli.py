@@ -1,5 +1,6 @@
 """Tests for the command-line front end: values, determinism, exit codes."""
 
+import contextlib
 import csv
 import io
 import json
@@ -21,6 +22,9 @@ from telebell.schema import available_schemas, load_schema
 SQRT_HALF = math.sqrt(0.5)
 ANGLE_OPTIONS = ("--beta", "--phi", "--beta-prime", "--phi-prime")
 ADDRESS_SPACE_CAP = 1 << 30
+# A grid axis of 999,998 points: inside both the per-axis row limit and
+# the angle limit, so only the product of the axes can refuse it.
+BIG_AXIS_STOP, BIG_AXIS_STEP = "35999.9", "0.036"
 
 
 def round_floats(obj):
@@ -65,6 +69,26 @@ JSON_VALUES = st.recursive(
     | st.dictionaries(st.text(max_size=6), children, max_size=4),
     max_leaves=30,
 )
+
+
+def run_capped(argv):
+    """Run the CLI in a child whose address space is capped at ``ADDRESS_SPACE_CAP``.
+
+    The cap turns an attempt to build oversize grid points into a
+    MemoryError in the child instead of exhausting the machine.
+    """
+
+    def cap_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (ADDRESS_SPACE_CAP, ADDRESS_SPACE_CAP))
+
+    return subprocess.run(
+        [sys.executable, "-m", "telebell", *argv],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        preexec_fn=cap_address_space,
+        env={**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"},
+    )
 
 
 def run_cli(args, capsys):
@@ -233,6 +257,17 @@ class TestScan:
         rows = list(csv.reader(io.StringIO(out)))
         assert len(rows) - 1 == 4 * 4
 
+    def test_last_spec_per_axis_wins(self, capsys):
+        code, out, _ = run_cli(
+            ["scan", "--grid", "phi=0:90:30", "--grid", "beta=0:90:45", "--grid", "phi=10:20:10"],
+            capsys,
+        )
+        assert code == 0
+        rows = list(csv.reader(io.StringIO(out)))[1:]
+        assert [(r[0], r[1]) for r in rows] == [
+            (beta, phi) for beta in ("0", "45", "90") for phi in ("10", "20")
+        ]
+
     def test_lexicographic_row_order(self, capsys):
         _, out, _ = run_cli(["scan", "--grid", "beta=0:90:45", "--grid", "phi=0:90:90"], capsys)
         rows = list(csv.reader(io.StringIO(out)))[1:]
@@ -253,19 +288,18 @@ class TestScan:
 
     @pytest.mark.parametrize("grid", ["phi=0:1e-300:1e-310", "phi=0:1e300:1e-300"])
     def test_unbounded_grid_exits_2_before_building(self, grid):
-        # The capped address space turns an attempt to build the points into
-        # a MemoryError in the child instead of exhausting the machine.
-        def cap_address_space():
-            resource.setrlimit(resource.RLIMIT_AS, (ADDRESS_SPACE_CAP, ADDRESS_SPACE_CAP))
+        result = run_capped(["scan", "--grid", grid])
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert "row limit" in result.stderr
+        assert "Traceback" not in result.stderr
 
-        result = subprocess.run(
-            [sys.executable, "-m", "telebell", "scan", "--grid", grid],
-            capture_output=True,
-            text=True,
-            timeout=120,
-            preexec_fn=cap_address_space,
-            env={**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"},
-        )
+    def test_repeated_axis_exits_2_before_building(self):
+        # Every occurrence of an axis is within the per-axis limit, and 31
+        # such axes of ~1e6 points hold more than the capped address space.
+        big_phi = ["--grid", f"phi=0:{BIG_AXIS_STOP}:{BIG_AXIS_STEP}"]
+        big_beta = ["--grid", f"beta=0:{BIG_AXIS_STOP}:{BIG_AXIS_STEP}"]
+        result = run_capped(["scan", *big_phi * 30, *big_beta])
         assert result.returncode == 2
         assert result.stdout == ""
         assert "row limit" in result.stderr
@@ -427,3 +461,101 @@ class TestSchemas:
         code, out, _ = run_cli(args, capsys)
         assert code == 0
         jsonschema.validate(json.loads(out), load_schema(name))
+
+
+# Token grammar for fuzzed argv.  Values mix accepted numbers with the
+# refused ones: non-finite, huge, past the angle limit, exponent-form
+# negatives (which argparse reads as options), garbage and empty strings.
+FUZZ_SUBCOMMANDS = ("probs", "bell-test", "scan", "swap", "noise-threshold",
+                    "teleport-fidelity", "", "bogus", "--beta", "-h")
+FUZZ_OPTIONS = (*ANGLE_OPTIONS, "--visibility", "--format", "--grid", "--out", "--bogus", "-h")
+FUZZ_NUMBERS = ("0", "45", "-45", "90", "0.5", "1", "1.5", "-0.1", "36000", "-36000",
+                "36000.0001", "1e300", "-1e300", "-1e-05", "1e-310", "nan", "inf", "-inf",
+                "1_000", " 7 ", "abc", "0x10", "", "=")
+FUZZ_WORDS = ("json", "csv", "xml", "", "--", "-")
+# Grid specs that every argv refuses, wherever they stand: bad syntax or
+# values, an axis beyond the row limit, or ends beyond the angle limit.
+REFUSED_GRIDS = ("beta", "beta=1:2", "gamma=0:1:1", "beta=0:1:0", "beta=0:1:-1", "beta=5:1:1",
+                 "beta=a:b:c", "phi=nan:1:1", "phi=0:inf:1", "phi=0:1e-300:1e-310",
+                 "phi=0:1e300:1e-300", "beta=0:36000:0.001", "beta=0:36000.0001:1",
+                 "phi-prime=-1e300:0:1e300", "=0:1:1", "")
+# --out only ever names stdout or a path that cannot be opened, so the
+# fuzz writes no file.
+UNWRITABLE_PATH = os.path.join(os.devnull, "out")
+
+
+@st.composite
+def small_grid(draw):
+    """An accepted axis of at most 10 points, so any scan stays within 10^4 rows."""
+    axis = draw(st.sampled_from(cli._GRID_AXES))
+    start = draw(st.floats(-180.0, 180.0))
+    step = draw(st.sampled_from((1.0, 2.5, 30.0)))
+    stop = start + draw(st.integers(0, 9)) * step
+    return f"{axis}={start!r}:{stop!r}:{step!r}"
+
+
+FUZZ_NUMBER = st.one_of(st.floats(-360.0, 360.0).map(repr), st.sampled_from(FUZZ_NUMBERS))
+OPTION_VALUES = {
+    **dict.fromkeys(ANGLE_OPTIONS, FUZZ_NUMBER),
+    "--visibility": st.one_of(st.floats(0.0, 1.0).map(repr), st.sampled_from(FUZZ_NUMBERS)),
+    "--format": st.sampled_from(FUZZ_WORDS),
+    "--grid": st.one_of(small_grid(), st.sampled_from(REFUSED_GRIDS)),
+    "--out": st.sampled_from(("", UNWRITABLE_PATH)),
+}
+# Each subcommand's own options; the others are refused for it.
+SUBCOMMAND_OPTIONS = {
+    "probs": (*ANGLE_OPTIONS, "--format", "--out"),
+    "bell-test": ("--visibility", "--out"),
+    "scan": (*ANGLE_OPTIONS, "--grid", "--out"),
+    "swap": ("--out",),
+    "noise-threshold": ("--out",),
+    "teleport-fidelity": ("--beta", "--phi", "--out"),
+}
+ANY_VALUE = st.one_of(
+    FUZZ_NUMBER, st.sampled_from(FUZZ_WORDS), st.sampled_from(REFUSED_GRIDS), small_grid()
+)
+# A token out of place: a bare option, a stray value, a foreign option with
+# any value but a path, or an ``--option=value`` angle.
+STRAY_TOKENS = st.one_of(
+    st.sampled_from(FUZZ_OPTIONS).map(lambda option: [option]),
+    ANY_VALUE.map(lambda value: [value]),
+    st.tuples(st.sampled_from(FUZZ_OPTIONS).filter(lambda o: o != "--out"), ANY_VALUE).map(list),
+    st.tuples(st.sampled_from(ANGLE_OPTIONS), FUZZ_NUMBER).map(lambda pair: ["=".join(pair)]),
+)
+# Large axes, each accepted alone, closing a scan argv so that nothing after
+# them can narrow the grid: their product is always refused.
+BIG_GRID = f"0:{BIG_AXIS_STOP}:{BIG_AXIS_STEP}"
+SCAN_SUFFIXES = st.sampled_from((
+    [],
+    ["--grid", f"phi={BIG_GRID}"] * 3 + ["--grid", f"beta={BIG_GRID}"],
+    [arg for axis in cli._GRID_AXES for arg in ("--grid", f"{axis}=0:36000:36")],
+))
+
+
+@st.composite
+def fuzzed_argv(draw):
+    command = draw(st.sampled_from(FUZZ_SUBCOMMANDS))
+    own = SUBCOMMAND_OPTIONS.get(command, ("--out",))
+    argv = [command]
+    for option in draw(st.lists(st.sampled_from(own), max_size=4)):
+        argv += [option, draw(OPTION_VALUES[option])]
+    if draw(st.integers(0, 2)) == 0:
+        at = draw(st.integers(0, len(argv)))
+        argv[at:at] = draw(STRAY_TOKENS)
+    return argv + draw(SCAN_SUFFIXES) if command == "scan" else argv
+
+
+class TestFuzzedArgv:
+    @settings(derandomize=True, max_examples=400, deadline=None)
+    @given(fuzzed_argv())
+    def test_every_argv_exits_cleanly(self, argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:
+                code = exc.code
+        assert code in (0, 2, 3), (argv, code)
+        assert "Traceback" not in err.getvalue()
+        if code != 0:
+            assert out.getvalue() == "", argv

@@ -8,7 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from telebell.corrvec import build_quantum_super_vector, super_dot, super_norm_sq
+from telebell.corrvec import (
+    SETTING_PAIRS_DEGREES,
+    build_quantum_super_vector,
+    super_dot,
+    super_norm_sq,
+)
 from telebell.lhv import (
     STRATEGY_SIGNS,
     DeterministicStrategy,
@@ -43,6 +48,14 @@ def loop_ensemble_super_vector(ensemble):
     total = np.zeros((4, 2))
     for strategy, weight in ensemble.entries:
         total += weight * strategy_super_vector(strategy)
+    return total
+
+
+def loop_ensemble_correlation(ensemble, alice_phi_deg, bob_phi_deg):
+    """Reference: the per-entry loop over one setting pair."""
+    total = np.zeros(2)
+    for strategy, weight in ensemble.entries:
+        total += weight * strategy.bob_value(bob_phi_deg) * strategy.alice_vector(alice_phi_deg)
     return total
 
 
@@ -140,6 +153,24 @@ class TestExtremalBound:
         assert super_dot(quantum, strategy_super_vector(bound.argmax)) == bound.maximum
 
 
+# Random ensembles: distinct strategy indices with positive raw weights.
+ENSEMBLE_ENTRIES = st.lists(
+    st.tuples(st.integers(0, 63), st.floats(1e-6, 1.0)),
+    min_size=1,
+    max_size=64,
+    unique_by=lambda entry: entry[0],
+)
+
+
+def ensemble_from_entries(entries):
+    strategies = enumerate_strategies()
+    weights = np.array([weight for _, weight in entries])
+    weights /= weights.sum()
+    return StrategyEnsemble(
+        tuple((strategies[i], float(w)) for (i, _), w in zip(entries, weights))
+    )
+
+
 class TestArrayPaths:
     """The sign-tensor forms against the per-strategy loops they replace."""
 
@@ -177,24 +208,30 @@ class TestArrayPaths:
             lhv_extremal_bound(np.ones(shape))
 
     @settings(derandomize=True, max_examples=200)
-    @given(
-        st.lists(
-            st.tuples(st.integers(0, 63), st.floats(1e-6, 1.0)),
-            min_size=1,
-            max_size=64,
-            unique_by=lambda entry: entry[0],
-        )
-    )
+    @given(ENSEMBLE_ENTRIES)
     def test_ensemble_matches_loop(self, entries):
-        strategies = enumerate_strategies()
-        weights = np.array([weight for _, weight in entries])
-        weights /= weights.sum()
-        ensemble = StrategyEnsemble(
-            tuple((strategies[i], float(w)) for (i, _), w in zip(entries, weights))
-        )
+        ensemble = ensemble_from_entries(entries)
         assert np.max(
             np.abs(ensemble_super_vector(ensemble) - loop_ensemble_super_vector(ensemble))
         ) <= 1e-15
+
+    @settings(derandomize=True, max_examples=200)
+    @given(ENSEMBLE_ENTRIES)
+    def test_ensemble_correlation_matches_loop(self, entries):
+        ensemble = ensemble_from_entries(entries)
+        for alice_deg, bob_deg in SETTING_PAIRS_DEGREES:
+            assert np.max(
+                np.abs(
+                    ensemble_correlation(ensemble, alice_deg, bob_deg)
+                    - loop_ensemble_correlation(ensemble, alice_deg, bob_deg)
+                )
+            ) <= 1e-15
+
+    @pytest.mark.parametrize("pair", [(45.0, -45.0), (0.0, 0.0), (90.0, 90.0), (-45.0, 0.0)])
+    def test_ensemble_correlation_unknown_setting(self, pair):
+        ensemble = StrategyEnsemble(((all_plus(), 1.0),))
+        with pytest.raises(ValueError, match="unknown setting"):
+            ensemble_correlation(ensemble, *pair)
 
 
 class TestStrategyEnsemble:

@@ -8,7 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from telebell.qstate import PureState, inner_product
+from telebell.qstate import (
+    ProjectiveBasis,
+    PureState,
+    inner_product,
+    measure_probabilities,
+    partial_inner,
+    tensor_product,
+)
 from telebell.swap import (
     TSIRELSON_BOUND,
     _analyzer_angle,
@@ -20,7 +27,13 @@ from telebell.swap import (
     single_outcome_subensemble,
     swap_initial_state,
 )
-from telebell.teleport import BELL_OUTCOMES
+from telebell.teleport import BELL_OUTCOMES, bell_basis, dichotomic_basis
+
+# Real and imaginary parts of a random 2-qubit state, away from zero.
+PAIR_PARTS = arrays(float, 8, elements=st.floats(-1.0, 1.0)).filter(
+    lambda x: np.linalg.norm(x) > 0.1
+)
+ANGLES = st.floats(-2 * math.pi, 2 * math.pi)
 
 
 @pytest.fixture(scope="module")
@@ -37,6 +50,31 @@ def analytic_post_state(outcome):
         "11": [r, 0, 0, -r],
     }[outcome]
     return PureState(np.array(amplitudes, dtype=complex), ("D", "C"))
+
+
+def random_pair(parts):
+    return PureState(parts[:4] + 1j * parts[4:], ("D", "C")).normalize()
+
+
+def sequential_pair_correlation(state, angle_1, angle_2):
+    """Reference: measure the product basis of the two analyzers as one 4-state basis."""
+    label_1, label_2 = state.factor_labels
+    first = dichotomic_basis(angle_1, 0.0, label_1)
+    second = dichotomic_basis(angle_2, 0.0, label_2)
+    states = tuple(tensor_product(a, b) for a in first.states for b in second.states)
+    basis = ProjectiveBasis(states, ("00", "01", "10", "11"))
+    p = [value for _, value, _ in measure_probabilities(state, basis, state.factor_labels)]
+    return p[0] - p[1] - p[2] + p[3]
+
+
+def sequential_swap_stage():
+    """Reference: post-measurement states of the full system, then contract each Bell bra."""
+    basis = bell_basis()
+    results = measure_probabilities(swap_initial_state(), basis, ("B", "A"))
+    return [
+        (p, partial_inner(bra, post).normalize())
+        for bra, (_, p, post) in zip(basis.states, results)
+    ]
 
 
 def grid_reference_chsh(state, step_deg=3.0):
@@ -109,6 +147,13 @@ class TestRunSwap:
         values = list(swap_report.chsh_values.values())
         assert max(values) - min(values) <= 1e-6
 
+    def test_matches_sequential_reference_bitwise(self, swap_report):
+        for outcome, (p, pair) in zip(BELL_OUTCOMES, sequential_swap_stage()):
+            assert swap_report.outcome_probabilities[outcome] == p
+            simulated = swap_report.post_states[outcome]
+            assert simulated.factor_labels == pair.factor_labels
+            assert simulated.amplitudes.tobytes() == pair.amplitudes.tobytes()
+
 
 class TestPairCorrelation:
     def test_phi_plus_correlation_law(self):
@@ -122,6 +167,16 @@ class TestPairCorrelation:
     def test_requires_two_qubits(self):
         with pytest.raises(ValueError):
             pair_correlation(swap_initial_state(), 0.0, 0.0)
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(PAIR_PARTS, ANGLES, ANGLES)
+    def test_matches_sequential_reference(self, parts, angle_1, angle_2):
+        state = random_pair(parts)
+        value = pair_correlation(state, angle_1, angle_2)
+        assert type(value) is float
+        assert value == pytest.approx(
+            sequential_pair_correlation(state, angle_1, angle_2), abs=1e-12
+        )
 
 
 class TestChshOnPair:
@@ -178,13 +233,9 @@ class TestMaxChsh:
         assert _analyzer_angle(np.array([0.0, -1.0])) == pytest.approx(3 * math.pi / 4)
 
     @settings(derandomize=True, max_examples=60, deadline=None)
-    @given(
-        arrays(float, 8, elements=st.floats(-1.0, 1.0)).filter(
-            lambda x: np.linalg.norm(x) > 0.1
-        )
-    )
+    @given(PAIR_PARTS)
     def test_random_states_against_grid_reference(self, parts):
-        state = PureState(parts[:4] + 1j * parts[4:], ("D", "C")).normalize()
+        state = random_pair(parts)
         scan = max_chsh(state)
         assert scan.value >= grid_reference_chsh(state) - 1e-12
         assert chsh_on_pair(state, scan.angles) == pytest.approx(scan.value, abs=1e-12)

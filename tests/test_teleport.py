@@ -242,7 +242,7 @@ class TestSimulated:
             if post is None:
                 continue
             for row, (_, p_bell, _) in enumerate(
-                measure_probabilities(post, bell_basis(), ("B", "A"), compute_post_states=False)
+                measure_probabilities(post, bell_basis(), ("B", "A"))
             ):
                 table[row, col] = p_bob * p_bell
         assert np.max(np.abs(table - expected.table)) <= 1e-12
