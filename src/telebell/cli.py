@@ -14,6 +14,7 @@ import functools
 import io
 import itertools
 import math
+import os
 import sys
 from json.encoder import encode_basestring_ascii
 from typing import Callable
@@ -60,7 +61,18 @@ def _fmt(value: float) -> str:
 
 
 def _json_float(value: float) -> str:
-    rounded = float(_fmt(value))
+    text = _fmt(value)
+    # ``text`` has at most 12 significant digits, so outside the subnormal
+    # range it is already the shortest repr of the float it reads as; repr
+    # differs only where it picks another notation: integral values (no "."
+    # or "e") and exponents 12 to 15, which repr writes out in full
+    _, e, exponent = text.partition("e")
+    if e:
+        if int(exponent) > 15 or -308 < int(exponent) < 12:
+            return text
+    elif "." in text:
+        return text
+    rounded = float(text)
     if math.isfinite(rounded):
         return repr(rounded)
     if rounded != rounded:
@@ -181,19 +193,27 @@ def _cmd_probs(args: argparse.Namespace) -> str:
     analyzer = AnalyzerSettings.from_degrees(args.beta_prime, args.phi_prime)
     closed = joint_distribution_closed_form(prep, analyzer)
     simulated = joint_distribution_simulated(prep, analyzer)
+    # the eight entries in row-major order as floats; the sums are numpy's
+    # for the same table: e0 + e1 per row, and the pairwise tree for all 8
+    entries = closed.table.ravel().tolist()
+    m0, m1, m2, m3 = closed._marginal
     checks = _require_checks(
         {
-            "total_deviation": abs(float(closed.table.sum()) - 1.0),
-            "marginal_deviation": float(np.max(np.abs(closed.table.sum(axis=1) - 0.25))),
-            "oracle_deviation": float(np.max(np.abs(closed.table - simulated.table))),
+            "total_deviation": abs(((m0 + m1) + (m2 + m3)) - 1.0),
+            "marginal_deviation": max(abs(m - 0.25) for m in closed._marginal),
+            "oracle_deviation": max(
+                abs(c - s) for c, s in zip(entries, simulated.table.ravel().tolist())
+            ),
         }
     )
     if args.format == "csv":
         buffer = io.StringIO()
         writer = csv.writer(buffer, lineterminator="\n")
         writer.writerow(["bell", "bob", "probability"])
-        for (bell, bob), p in closed.items():
-            writer.writerow([bell, bob, _fmt(p)])
+        writer.writerows(
+            [bell, bob, _fmt(p)]
+            for (bell, bob), p in zip(itertools.product(BELL_OUTCOMES, BOB_OUTCOMES), entries)
+        )
         return buffer.getvalue()
     payload = {
         "schema": SCHEMA_VERSION,
@@ -205,8 +225,8 @@ def _cmd_probs(args: argparse.Namespace) -> str:
             "phi_prime_deg": args.phi_prime,
         },
         "probabilities": {
-            bell: {bob: closed.probability(bell, bob) for bob in BOB_OUTCOMES}
-            for bell in BELL_OUTCOMES
+            bell: dict(zip(BOB_OUTCOMES, entries[2 * i : 2 * i + 2]))
+            for i, bell in enumerate(BELL_OUTCOMES)
         },
         "checks": checks,
     }
@@ -362,17 +382,20 @@ def _cmd_teleport_fidelity(args: argparse.Namespace) -> str:
     return _render_json(payload)
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _build_parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser and its subcommand parsers, by subcommand name."""
     parser = argparse.ArgumentParser(
         prog="telebell",
         description="Bell analysis of the channel-cut teleportation protocol.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    commands: dict[str, argparse.ArgumentParser] = {}
 
     def register(name: str, handler: Callable, help_text: str) -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--out", default=None, help="write output to this path instead of stdout")
         p.set_defaults(handler=handler)
+        commands[name] = p
         return p
 
     probs = register("probs", _cmd_probs, "eight joint outcome probabilities")
@@ -400,17 +423,40 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_angle_args(fidelity, analyzer=False)
 
-    return parser
+    return parser, commands
 
 
-@functools.cache
-def _shared_parser() -> argparse.ArgumentParser:
-    """The parser ``main`` uses: built on first use, then kept for the process."""
-    return build_parser()
+def build_parser() -> argparse.ArgumentParser:
+    return _build_parsers()[0]
+
+
+# The parsers ``main`` uses: built on first use, then kept for the process.
+_shared_parsers = functools.cache(_build_parsers)
+
+
+def _parse_args(argv) -> argparse.Namespace:
+    """``build_parser().parse_args(argv)``, without the top-level pass when it can.
+
+    When the first token names a subcommand, argparse's subparsers action
+    hands every later token to that subcommand's parser, and the top-level
+    parser reports what it leaves over.  This does the same directly.  Any
+    other argv (empty, an option first, an unknown command) goes through the
+    full parser, for its usage and error messages.
+    """
+    parser, commands = _shared_parsers()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    command = commands.get(argv[0]) if argv else None
+    if command is None:
+        return parser.parse_args(argv)
+    args, extras = command.parse_known_args(argv[1:])
+    if extras:
+        parser.error(f"unrecognized arguments: {' '.join(extras)}")
+    args.command = argv[0]
+    return args
 
 
 def main(argv=None) -> int:
-    args = _shared_parser().parse_args(argv)
+    args = _parse_args(argv)
     try:
         text = args.handler(args)
     except UsageError as exc:
@@ -419,13 +465,18 @@ def main(argv=None) -> int:
     except (InvariantBreach, ValueError, ArithmeticError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    if args.out:
-        try:
+    try:
+        if args.out:
             with open(args.out, "w", encoding="utf-8", newline="") as handle:
                 handle.write(text)
-        except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-    else:
-        sys.stdout.write(text)
+        else:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+    except OSError as exc:  # an unwritable --out path, or a closed stdout pipe
+        if not args.out:
+            # drop what stdout still buffers, so that the flush at
+            # interpreter exit does not fail on the closed pipe again
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     return 0

@@ -122,7 +122,7 @@ def _as_super_vector(v) -> np.ndarray:
 def super_norm_sq(v) -> float:
     """Sum over entries of the squared 2-vector norms."""
     arr = _as_super_vector(v)
-    return float(np.sum(arr * arr))
+    return float((arr * arr).sum())
 
 
 def super_dot(a, b) -> float:
@@ -131,4 +131,4 @@ def super_dot(a, b) -> float:
     y = _as_super_vector(b)
     if x.shape != y.shape:
         raise ValueError(f"super-vector shapes differ: {x.shape} vs {y.shape}")
-    return float(np.sum(x * y))
+    return float((x * y).sum())

@@ -13,7 +13,7 @@ the channel-cut scenario.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import fsum, isfinite
 from typing import NamedTuple
 
@@ -56,11 +56,15 @@ class DeterministicStrategy:
     """One hidden-variable value: fixed answers for every setting.
 
     ``bob`` holds the signs returned at phi' = -45 and +45 degrees; ``alice``
-    holds the outcome vectors returned at phi = 0 and 90 degrees.
+    holds the outcome vectors returned at phi = 0 and 90 degrees.  ``row``
+    is the strategy's index in the enumeration order, its row of
+    ``STRATEGY_SIGNS``; it follows from the answers, so it takes no part in
+    equality or hashing.
     """
 
     bob: tuple[int, int]
     alice: tuple[tuple[int, int], tuple[int, int]]
+    row: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if len(self.bob) != 2 or any(v not in (-1, 1) for v in self.bob):
@@ -69,6 +73,12 @@ class DeterministicStrategy:
             len(vec) != 2 or any(v not in (-1, 1) for v in vec) for vec in self.alice
         ):
             raise ValueError(f"alice answers must be two sign 2-vectors, got {self.alice}")
+        # the enumeration runs over (bob -45, bob +45, alice 0, alice 90) with
+        # -1 before +1 in each sign: the answers are the row's binary digits
+        row = 0
+        for sign in (*self.bob, *self.alice[0], *self.alice[1]):
+            row = 2 * row + (sign > 0)
+        object.__setattr__(self, "row", row)
 
     def bob_value(self, phi_prime_deg: float) -> int:
         try:
@@ -92,8 +102,8 @@ def strategy_super_vector(strategy: DeterministicStrategy) -> np.ndarray:
     return np.stack(rows)
 
 
-# The 64 strategies in enumeration order, their super-vectors stacked into
-# one (64, 4, 2) sign tensor, and each strategy's row in it.
+# The 64 strategies in enumeration order and their super-vectors stacked
+# into one (64, 4, 2) sign tensor.
 _STRATEGIES = tuple(
     DeterministicStrategy(bob=(bob_minus, bob_plus), alice=(alice_0, alice_90))
     for bob_minus, bob_plus, alice_0, alice_90 in itertools.product(
@@ -102,7 +112,7 @@ _STRATEGIES = tuple(
 )
 STRATEGY_SIGNS = np.stack([strategy_super_vector(s) for s in _STRATEGIES])
 STRATEGY_SIGNS.setflags(write=False)
-_STRATEGY_INDEX = {strategy: index for index, strategy in enumerate(_STRATEGIES)}
+_FLAT_SIGNS = STRATEGY_SIGNS.reshape(len(_STRATEGIES), -1)
 
 
 def enumerate_strategies() -> list[DeterministicStrategy]:
@@ -146,10 +156,11 @@ class StrategyEnsemble:
         entries = tuple((strategy, float(weight)) for strategy, weight in self.entries)
         if not entries:
             raise ValueError("ensemble needs at least one strategy")
-        for _, weight in entries:
-            if not isfinite(weight) or weight < 0.0:
-                raise ValueError(f"weights must be finite and nonnegative, got {weight!r}")
-        total = fsum(weight for _, weight in entries)
+        weights = [weight for _, weight in entries]
+        if not (all(map(isfinite, weights)) and min(weights) >= 0.0):
+            bad = next(w for w in weights if not (isfinite(w) and w >= 0.0))
+            raise ValueError(f"weights must be finite and nonnegative, got {bad!r}")
+        total = fsum(weights)
         if abs(total - 1.0) > 1e-12:
             raise ValueError(f"weights sum to {total!r}, not 1")
         object.__setattr__(self, "entries", entries)
@@ -157,9 +168,9 @@ class StrategyEnsemble:
 
 def ensemble_super_vector(ensemble: StrategyEnsemble) -> np.ndarray:
     """Weight-averaged strategy super-vector."""
-    indices = [_STRATEGY_INDEX[strategy] for strategy, _ in ensemble.entries]
+    rows = [strategy.row for strategy, _ in ensemble.entries]
     weights = np.array([weight for _, weight in ensemble.entries])
-    return (weights @ STRATEGY_SIGNS[indices].reshape(len(indices), -1)).reshape(4, 2)
+    return (weights @ _FLAT_SIGNS[rows]).reshape(4, 2)
 
 
 def ensemble_correlation(

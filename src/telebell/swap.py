@@ -27,7 +27,7 @@ from .qstate import (
     clamp_probability,
     tensor_product,
 )
-from .teleport import BELL_OUTCOMES, bell_basis, dichotomic_basis
+from .teleport import BELL_OUTCOMES, bell_basis
 
 TSIRELSON_BOUND = 2.0 * sqrt(2.0)
 
@@ -68,33 +68,45 @@ def reduced_purity(state: PureState, label: str) -> float:
     return float(np.trace(rho @ rho).real)
 
 
-def pair_correlation(state: PureState, angle_1: float, angle_2: float) -> float:
-    """Product correlation of two real dichotomic analyzers on a 2-qubit state.
+def _analyzer_rows(angles) -> np.ndarray:
+    """(n, 2, 2) stack of real dichotomic analyzers, one per angle, as basis rows.
 
-    Entry (k, l) of ``|R A^dagger|^2`` is the Born probability of outcomes
-    k and l, for the coefficient rows ``R`` of the first analyzer and the
-    second analyzer's basis matrix ``A``.  Outcomes carry signs -1 (outcome
-    "0") and +1 (outcome "1"); the product is the same under the opposite
-    convention.
+    Row 0 (outcome "0") is ``(cos t, sin t)``, row 1 (outcome "1") is
+    ``(-sin t, cos t)``: ``dichotomic_basis(t, 0, label).matrix``.
+    """
+    return np.array([((cos(t), sin(t)), (-sin(t), cos(t))) for t in angles])
+
+
+def _correlations(state: PureState, angles_1, angles_2) -> np.ndarray:
+    """Born-rule correlations E(a_k, b_k) of real analyzer pairs, in one batch.
+
+    For the (2, 2) amplitude matrix ``Psi`` of the state, entry (k, l) of
+    ``|A_a Psi A_b^T|^2`` is the Born probability of outcomes k and l at the
+    analyzers ``A_a`` and ``A_b`` (real, so equal to their conjugates).
+    Outcomes carry signs -1 (outcome "0") and +1 (outcome "1"); the product
+    is the same under the opposite convention.
     """
     if state.num_qubits != 2:
         raise ValueError("correlation is defined for 2-qubit states")
-    first, second = state.factor_labels
-    rows = basis_coefficients(state, dichotomic_basis(angle_1, 0.0, first), (first,))
-    amplitudes = rows @ dichotomic_basis(angle_2, 0.0, second).matrix.conj().T
-    p = (np.abs(amplitudes) ** 2).ravel().tolist()
+    amplitudes = (
+        _analyzer_rows(angles_1)
+        @ state.amplitudes.reshape(2, 2)
+        @ _analyzer_rows(angles_2).transpose(0, 2, 1)
+    )
+    p = (np.abs(amplitudes) ** 2).reshape(-1, 4).T
     return p[0] - p[1] - p[2] + p[3]
+
+
+def pair_correlation(state: PureState, angle_1: float, angle_2: float) -> float:
+    """Product correlation of two real dichotomic analyzers on a 2-qubit state."""
+    return float(_correlations(state, (angle_1,), (angle_2,))[0])
 
 
 def chsh_on_pair(state: PureState, angles) -> float:
     """CHSH value S = E(a,b) - E(a,b') + E(a',b) + E(a',b') from the Born rule."""
     a, a_alt, b, b_alt = angles
-    s = (
-        pair_correlation(state, a, b)
-        - pair_correlation(state, a, b_alt)
-        + pair_correlation(state, a_alt, b)
-        + pair_correlation(state, a_alt, b_alt)
-    )
+    e = _correlations(state, (a, a, a_alt, a_alt), (b, b_alt, b, b_alt)).tolist()
+    s = e[0] - e[1] + e[2] + e[3]
     if abs(s) > TSIRELSON_BOUND + 1e-12:
         raise RuntimeError(f"CHSH value {s!r} exceeds the quantum bound")
     return s
@@ -107,16 +119,19 @@ def _analyzer_angle(direction: np.ndarray) -> float:
     return 0.0 if angle == pi else angle
 
 
+# The four (a, b) pairs over the axis angles 0 and pi/4, in row-major order.
+_AXES_FIRST = (0.0, 0.0, pi / 4.0, pi / 4.0)
+_AXES_SECOND = (0.0, pi / 4.0, 0.0, pi / 4.0)
+
+
 def _correlation_matrix(state: PureState) -> np.ndarray:
     """2x2 matrix M with E(a, b) = u(a) . M u(b) for u(t) = (cos 2t, sin 2t).
 
-    Built from four Born-rule correlations at the axis angles 0 and pi/4;
-    bilinearity in the analyzer directions then reproduces E everywhere.
+    Built from the Born-rule correlations at the axis angles 0 and pi/4, in
+    one batch; bilinearity in the analyzer directions then reproduces E
+    everywhere.
     """
-    axes = (0.0, pi / 4.0)
-    return np.array(
-        [[pair_correlation(state, a, b) for b in axes] for a in axes]
-    )
+    return _correlations(state, _AXES_FIRST, _AXES_SECOND).reshape(2, 2)
 
 
 class ChshScanResult(NamedTuple):

@@ -9,6 +9,7 @@ import os
 import resource
 import subprocess
 import sys
+from unittest import mock
 
 import jsonschema
 import numpy as np
@@ -403,6 +404,11 @@ class TestRenderJson:
             "text": "\u00e9\u6f22\U0001f600 \"q\" \\ \n\t\x00",
             "\u00fc": [1.23456789012345e-7, 123456789012345.0, math.inf, -math.inf, math.nan],
             "nested": [[{"a": [0.1 + 0.2]}]],
+            # subnormals, integral values, the exponents where the 12-digit
+            # form and repr pick different notations, and the non-finite
+            "boundaries": [5e-324, 2.2250738585e-313, 1e11, 1e12, 123456789012.5,
+                           9.99999999999e15, 1e16, 1e22, 2.0, -0.0, 1e-5, 1.5e-7,
+                           math.nan, math.inf, -math.inf],
         }
         assert cli._render_json(payload) == reference_render(payload)
 
@@ -559,3 +565,81 @@ class TestFuzzedArgv:
         assert "Traceback" not in err.getvalue()
         if code != 0:
             assert out.getvalue() == "", argv
+
+
+def reference_main(argv) -> int:
+    """``cli.main`` as it was before the direct dispatch: the full parser, then the handler."""
+    args = cli.build_parser().parse_args(argv)
+    try:
+        text = args.handler(args)
+    except cli.UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except (cli.InvariantBreach, ValueError, ArithmeticError, RuntimeError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
+    if args.out:
+        try:
+            with open(args.out, "w", encoding="utf-8", newline="") as handle:
+                handle.write(text)
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+    else:
+        sys.stdout.write(text)
+    return 0
+
+
+def outcome(entry, argv):
+    """Exit code, stdout and stderr of one call, with help text laid out for 80 columns."""
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.dict(os.environ, {"COLUMNS": "80"}):
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = entry(list(argv))
+            except SystemExit as exc:
+                code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+class TestDispatch:
+    """``cli.main`` goes straight to the subcommand's parser; nothing it prints may change."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            [], ["-h"], ["probs", "-h"], ["probs", "--he"], ["probs", "--bet", "3"],
+            ["probs", "--", "x"], ["probs", "stray"], ["bogus"], ["--out", "x", "probs"],
+            ["bell-test", "--visibility=0.3"],
+        ],
+    )
+    def test_matches_full_parser(self, argv):
+        assert outcome(cli.main, argv) == outcome(reference_main, argv)
+
+    @settings(derandomize=True, max_examples=400, deadline=None)
+    @given(fuzzed_argv())
+    def test_fuzzed_argv_matches_full_parser(self, argv):
+        assert outcome(cli.main, argv) == outcome(reference_main, argv)
+
+
+class TestClosedStdout:
+    @pytest.mark.parametrize(
+        "argv", [["probs"], ["swap"], ["scan", "--grid", "phi=0:359:0.5"]]
+    )
+    def test_closed_pipe_exits_2(self, argv):
+        # the read end is closed before the child starts, so every write fails
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            result = subprocess.run(
+                [sys.executable, "-m", "telebell", *argv],
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                text=True,
+                timeout=120,
+            )
+        finally:
+            os.close(write_end)
+        assert result.returncode == 2
+        assert result.stderr.startswith("error:")
+        assert result.stderr.count("\n") == 1, result.stderr

@@ -153,21 +153,31 @@ class TestExtremalBound:
         assert super_dot(quantum, strategy_super_vector(bound.argmax)) == bound.maximum
 
 
-# Random ensembles: distinct strategy indices with positive raw weights.
+# Random ensembles: distinct strategy indices with positive raw weights, and
+# whether to take the enumerated strategy or one built fresh from its signs.
 ENSEMBLE_ENTRIES = st.lists(
-    st.tuples(st.integers(0, 63), st.floats(1e-6, 1.0)),
+    st.tuples(st.integers(0, 63), st.floats(1e-6, 1.0), st.booleans()),
     min_size=1,
     max_size=64,
     unique_by=lambda entry: entry[0],
 )
 
 
+def fresh_strategy(index):
+    """The strategy at ``index`` built anew from the signs of its binary digits."""
+    signs = [1 if index >> shift & 1 else -1 for shift in range(5, -1, -1)]
+    return DeterministicStrategy(bob=tuple(signs[:2]), alice=(tuple(signs[2:4]), tuple(signs[4:])))
+
+
 def ensemble_from_entries(entries):
     strategies = enumerate_strategies()
-    weights = np.array([weight for _, weight in entries])
+    weights = np.array([weight for _, weight, _ in entries])
     weights /= weights.sum()
     return StrategyEnsemble(
-        tuple((strategies[i], float(w)) for (i, _), w in zip(entries, weights))
+        tuple(
+            (fresh_strategy(i) if fresh else strategies[i], float(w))
+            for (i, _, fresh), w in zip(entries, weights)
+        )
     )
 
 
@@ -180,6 +190,14 @@ class TestArrayPaths:
         assert not STRATEGY_SIGNS.flags.writeable
         for row, strategy in zip(STRATEGY_SIGNS, strategies):
             assert np.array_equal(row, strategy_super_vector(strategy))
+
+    def test_row_is_the_enumeration_index(self):
+        for index, strategy in enumerate(enumerate_strategies()):
+            fresh = fresh_strategy(index)
+            assert fresh is not strategy
+            assert strategy.row == fresh.row == index
+            assert fresh == strategy and hash(fresh) == hash(strategy)
+            assert "row" not in repr(fresh)
 
     def test_enumeration_is_a_fresh_list(self):
         strategies = enumerate_strategies()

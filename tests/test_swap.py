@@ -11,6 +11,7 @@ from hypothesis.extra.numpy import arrays
 from telebell.qstate import (
     ProjectiveBasis,
     PureState,
+    basis_coefficients,
     inner_product,
     measure_probabilities,
     partial_inner,
@@ -19,6 +20,8 @@ from telebell.qstate import (
 from telebell.swap import (
     TSIRELSON_BOUND,
     _analyzer_angle,
+    _correlation_matrix,
+    _swap_stage,
     chsh_on_pair,
     max_chsh,
     pair_correlation,
@@ -64,6 +67,16 @@ def sequential_pair_correlation(state, angle_1, angle_2):
     states = tuple(tensor_product(a, b) for a in first.states for b in second.states)
     basis = ProjectiveBasis(states, ("00", "01", "10", "11"))
     p = [value for _, value, _ in measure_probabilities(state, basis, state.factor_labels)]
+    return p[0] - p[1] - p[2] + p[3]
+
+
+def coefficient_row_correlation(state, angle_1, angle_2):
+    """Reference: one pair at a time, the first analyzer's coefficient rows
+    against the second analyzer's basis matrix."""
+    first, second = state.factor_labels
+    rows = basis_coefficients(state, dichotomic_basis(angle_1, 0.0, first), (first,))
+    amplitudes = rows @ dichotomic_basis(angle_2, 0.0, second).matrix.conj().T
+    p = (np.abs(amplitudes) ** 2).ravel().tolist()
     return p[0] - p[1] - p[2] + p[3]
 
 
@@ -204,6 +217,40 @@ class TestChshOnPair:
             for _ in range(25):
                 angles = tuple(rng.uniform(0, math.pi, size=4))
                 assert abs(chsh_on_pair(state, angles)) <= TSIRELSON_BOUND + 1e-9
+
+
+class TestBatchedCorrelations:
+    """One batched Born-rule call per CHSH value and per correlation matrix."""
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(PAIR_PARTS, st.tuples(ANGLES, ANGLES, ANGLES, ANGLES))
+    def test_chsh_is_its_four_pair_correlations(self, parts, angles):
+        state = random_pair(parts)
+        a, a_alt, b, b_alt = angles
+        expected = (
+            pair_correlation(state, a, b)
+            - pair_correlation(state, a, b_alt)
+            + pair_correlation(state, a_alt, b)
+            + pair_correlation(state, a_alt, b_alt)
+        )
+        assert chsh_on_pair(state, angles) == expected
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(PAIR_PARTS, ANGLES, ANGLES)
+    def test_pair_matches_coefficient_rows(self, parts, angle_1, angle_2):
+        state = random_pair(parts)
+        assert pair_correlation(state, angle_1, angle_2) == pytest.approx(
+            coefficient_row_correlation(state, angle_1, angle_2), abs=1e-15
+        )
+
+    def test_swapped_pairs_keep_their_correlation_matrix(self):
+        # M is +-1 on the diagonal up to rounding and its singular values are
+        # degenerate, so the printed CHSH angles follow its rounding-level
+        # entries: they must match the per-pair path bit for bit
+        axes = (0.0, math.pi / 4)
+        for _, pair in _swap_stage():
+            expected = [[coefficient_row_correlation(pair, a, b) for b in axes] for a in axes]
+            assert _correlation_matrix(pair).tolist() == expected
 
 
 class TestMaxChsh:
