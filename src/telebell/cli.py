@@ -15,6 +15,7 @@ import io
 import itertools
 import math
 import os
+import re
 import sys
 from json.encoder import encode_basestring_ascii
 from typing import Callable
@@ -43,6 +44,13 @@ MAX_SCAN_ROWS = 1_000_000
 # contract; far beyond it the reduced angle carries no meaning.
 MAX_ANGLE_DEG = 36_000.0
 _GRID_AXES = ("beta", "phi", "beta-prime", "phi-prime")
+# argparse reads a "-"-led token as a value, not an option, when its parser's
+# negative-number pattern matches it.  The pattern argparse ships has changed
+# between patch releases and refuses exponent forms such as -1e-05, so every
+# parser here gets this one: argparse's own, plus an optional exponent.
+_NEGATIVE_NUMBER = re.compile(r"^-(?:\d+|\d*\.\d+)(?:[eE][+-]?\d+)?$")
+# Options that a negative-number token could name or abbreviate.
+_NUMBER_LIKE_OPTION = re.compile(r"-[\d.]")
 
 __all__ = ["main", "build_parser", "InvariantBreach", "UsageError"]
 
@@ -388,11 +396,13 @@ def _build_parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argume
         prog="telebell",
         description="Bell analysis of the channel-cut teleportation protocol.",
     )
+    parser._negative_number_matcher = _NEGATIVE_NUMBER
     sub = parser.add_subparsers(dest="command", required=True)
     commands: dict[str, argparse.ArgumentParser] = {}
 
     def register(name: str, handler: Callable, help_text: str) -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
+        p._negative_number_matcher = _NEGATIVE_NUMBER
         p.add_argument("--out", default=None, help="write output to this path instead of stdout")
         p.set_defaults(handler=handler)
         commands[name] = p
@@ -430,29 +440,87 @@ def build_parser() -> argparse.ArgumentParser:
     return _build_parsers()[0]
 
 
-# The parsers ``main`` uses: built on first use, then kept for the process.
-_shared_parsers = functools.cache(_build_parsers)
+def _option_walk(name: str, parser: argparse.ArgumentParser):
+    """A parse of ``[name, *tokens]`` that walks ``parser``'s own store options.
+
+    The returned function reads only ``--opt value`` and ``--opt=value``
+    tokens of single-value store options, applies each option's ``type`` and
+    ``choices``, and returns the namespace ``build_parser().parse_args``
+    would.  It returns None for anything else: help, an abbreviation,
+    ``--``, an appended option, a converter or choice error, a stray token.
+    Like argparse, it takes a ``-``-led value only when the parser's
+    negative-number pattern matches it.  There is no walk (None) for a
+    parser whose arguments it could misread: a positional or required one,
+    or an option that a negative number could name.
+    """
+    actions = parser._actions
+    if any(
+        not action.option_strings
+        or action.required
+        or any(_NUMBER_LIKE_OPTION.match(option) for option in action.option_strings)
+        for action in actions
+    ):
+        return None
+    table = {
+        option: action
+        for action in actions
+        if type(action) is argparse._StoreAction and action.nargs is None
+        for option in action.option_strings
+    }
+    # the parser's namespace for no tokens: every default and the handler
+    defaults = {"command": name, **vars(parser.parse_args([]))}
+    negative = parser._negative_number_matcher
+
+    def walk(tokens: list[str]) -> argparse.Namespace | None:
+        args = argparse.Namespace()
+        values = vars(args)
+        values.update(defaults)
+        tokens = iter(tokens)
+        for token in tokens:
+            action = table.get(token)
+            if action is not None:
+                text = next(tokens, None)
+            else:
+                option, _, text = token.partition("=")
+                action = table.get(option)
+            if action is None or text is None or (text[:1] == "-" and not negative.match(text)):
+                return None
+            if action.type is None:
+                value = text
+            else:
+                try:
+                    value = action.type(text)
+                except (argparse.ArgumentTypeError, TypeError, ValueError):
+                    return None
+            if action.choices is not None and value not in action.choices:
+                return None
+            values[action.dest] = value
+        return args
+
+    return walk
+
+
+@functools.cache
+def _shared_parsers():
+    """The parsers ``main`` uses and each subcommand's option walk, by name.
+
+    Built on first use, then kept for the process.
+    """
+    parser, commands = _build_parsers()
+    return parser, {name: _option_walk(name, command) for name, command in commands.items()}
+
+
+def _walk_args(argv: list[str]) -> argparse.Namespace | None:
+    """The namespace of ``argv`` from its subcommand's option walk, or None if it declines."""
+    walk = _shared_parsers()[1].get(argv[0]) if argv else None
+    return walk(argv[1:]) if walk is not None else None
 
 
 def _parse_args(argv) -> argparse.Namespace:
-    """``build_parser().parse_args(argv)``, without the top-level pass when it can.
-
-    When the first token names a subcommand, argparse's subparsers action
-    hands every later token to that subcommand's parser, and the top-level
-    parser reports what it leaves over.  This does the same directly.  Any
-    other argv (empty, an option first, an unknown command) goes through the
-    full parser, for its usage and error messages.
-    """
-    parser, commands = _shared_parsers()
+    """``build_parser().parse_args(argv)``: the option walk, else the full parser."""
     argv = sys.argv[1:] if argv is None else list(argv)
-    command = commands.get(argv[0]) if argv else None
-    if command is None:
-        return parser.parse_args(argv)
-    args, extras = command.parse_known_args(argv[1:])
-    if extras:
-        parser.error(f"unrecognized arguments: {' '.join(extras)}")
-    args.command = argv[0]
-    return args
+    args = _walk_args(argv)
+    return _shared_parsers()[0].parse_args(argv) if args is None else args
 
 
 def main(argv=None) -> int:

@@ -147,29 +147,57 @@ class ChshScanResult(NamedTuple):
     grid_value: float
 
 
-def max_chsh(state: PureState) -> ChshScanResult:
-    """Maximal CHSH value of a 2-qubit state over real analyzer angles.
+# Alice's axes (columns u1, u2) when M has degenerate singular values.  Any
+# orthonormal pair is then optimal; these are the directions of the analyzer
+# angles pi/2 and pi/4, the pair the SVD returned for the four swapped pairs,
+# so the angles printed for them stay as they were.
+_DEGENERATE_ALICE_AXES = np.array([[-1.0, 0.0], [0.0, 1.0]])
+# Below this gap, relative to s1, the singular vectors of M come from
+# rounding noise.
+_DEGENERATE_GAP = 1e-12
+
+
+def _optimal_axes(m: np.ndarray) -> tuple[float, tuple[float, float, float, float]]:
+    """Closed-form CHSH optimum of the correlation matrix M, and analyzer angles reaching it.
 
     With E(a, b) = u(a) . M u(b), the optimum over real analyzers is
     ``2 sqrt(s1^2 + s2^2)`` for the singular values s1 >= s2 of M (the
-    Horodecki criterion, Phys. Lett. A 200, 340 (1995)).  Bob's directions
-    are ``cos(t) v1 +- sin(t) v2`` with ``tan t = s2 / s1``; Alice's are the
-    left singular vectors.  The angles are folded into [0, pi); the returned
-    value is the Born-rule CHSH value at them, which must reproduce the
-    closed form.
+    Horodecki criterion, Phys. Lett. A 200, 340 (1995)).  Alice's
+    directions are orthonormal axes u1, u2 and Bob's are
+    ``cos(t) v1 +- sin(t) v2`` with ``tan t = s2 / s1`` and
+    ``M v_i = s_i u_i``: the singular vectors of M.  When s1 == s2 (to
+    within ``_DEGENERATE_GAP``), M / s1 is orthogonal and every orthonormal
+    pair u1, u2 is optimal; Alice's axes are then fixed and Bob's are
+    ``v_i = (M / s1)^T u_i``, so that rounding noise in M does not pick
+    them.  The angles are folded into [0, pi).
     """
-    m = _correlation_matrix(state)
     left, sigma, right_t = np.linalg.svd(m)
-    grid_value = 2.0 * hypot(sigma[0], sigma[1])
-    t = atan2(sigma[1], sigma[0])
+    s1, s2 = sigma.tolist()
+    # a zero M (s2 == 0 == s1) reaches 0 at any angles and has no s1 to divide by
+    if s2 > 0.0 and s1 - s2 <= _DEGENERATE_GAP * s1:
+        orthogonal = m / s1
+        if np.abs(orthogonal.T @ orthogonal - np.eye(2)).max() > 1e-9:
+            raise RuntimeError("correlation matrix with degenerate singular values is not orthogonal")
+        left = _DEGENERATE_ALICE_AXES
+        right_t = left.T @ orthogonal
+    t = atan2(s2, s1)
     directions = (
         left[:, 1],
         left[:, 0],
         cos(t) * right_t[0] + sin(t) * right_t[1],
         cos(t) * right_t[0] - sin(t) * right_t[1],
     )
-    angles = tuple(_analyzer_angle(d) for d in directions)
+    return 2.0 * hypot(s1, s2), tuple(_analyzer_angle(d) for d in directions)
 
+
+def max_chsh(state: PureState) -> ChshScanResult:
+    """Maximal CHSH value of a 2-qubit state over real analyzer angles.
+
+    The optimum and its angles come from the closed form of
+    ``_optimal_axes``; the returned value is the Born-rule CHSH value at
+    those angles, which must reproduce the closed form.
+    """
+    grid_value, angles = _optimal_axes(_correlation_matrix(state))
     born_value = chsh_on_pair(state, angles)
     if max(grid_value, born_value) > TSIRELSON_BOUND + 1e-9:
         raise RuntimeError("CHSH optimum exceeds the quantum bound")

@@ -173,6 +173,16 @@ class TestProbs:
             for col, bob in enumerate(("0", "1")):
                 assert abs(payload["probabilities"][bell][bob] - reference[row][col]) <= 1e-12
 
+    @pytest.mark.parametrize("value", ["-1e-05", "-.5", "-3E+2"])
+    @pytest.mark.parametrize("option", ANGLE_OPTIONS)
+    def test_exponent_form_negative_value(self, option, value, capsys):
+        # a separate negative value reads as a number in every form, as the
+        # attached one always did
+        code_a, out_a, _ = run_cli(["probs", option, value], capsys)
+        code_b, out_b, _ = run_cli(["probs", f"{option}={value}"], capsys)
+        assert code_a == code_b == 0
+        assert out_a.encode() == out_b.encode()
+
     def test_out_unwritable_path_exits_2(self, tmp_path, capsys):
         code, out, err = run_cli(["probs", "--out", str(tmp_path / "missing" / "x.json")], capsys)
         assert code == 2
@@ -469,15 +479,16 @@ class TestSchemas:
         jsonschema.validate(json.loads(out), load_schema(name))
 
 
-# Token grammar for fuzzed argv.  Values mix accepted numbers with the
-# refused ones: non-finite, huge, past the angle limit, exponent-form
-# negatives (which argparse reads as options), garbage and empty strings.
+# Token grammar for fuzzed argv.  Values mix accepted numbers (negatives
+# among them in every form the CLI's negative-number pattern reads) with the
+# refused ones: non-finite, huge, past the angle limit, garbage and empty
+# strings.
 FUZZ_SUBCOMMANDS = ("probs", "bell-test", "scan", "swap", "noise-threshold",
                     "teleport-fidelity", "", "bogus", "--beta", "-h")
 FUZZ_OPTIONS = (*ANGLE_OPTIONS, "--visibility", "--format", "--grid", "--out", "--bogus", "-h")
 FUZZ_NUMBERS = ("0", "45", "-45", "90", "0.5", "1", "1.5", "-0.1", "36000", "-36000",
-                "36000.0001", "1e300", "-1e300", "-1e-05", "1e-310", "nan", "inf", "-inf",
-                "1_000", " 7 ", "abc", "0x10", "", "=")
+                "36000.0001", "1e300", "-1e300", "-1e-05", "-.5", "-3E+2", "1e-310", "nan",
+                "inf", "-inf", "1_000", " 7 ", "abc", "0x10", "", "=")
 FUZZ_WORDS = ("json", "csv", "xml", "", "--", "-")
 # Grid specs that every argv refuses, wherever they stand: bad syntax or
 # values, an axis beyond the row limit, or ends beyond the angle limit.
@@ -568,7 +579,7 @@ class TestFuzzedArgv:
 
 
 def reference_main(argv) -> int:
-    """``cli.main`` as it was before the direct dispatch: the full parser, then the handler."""
+    """``cli.main`` on the full parser alone, then the handler."""
     args = cli.build_parser().parse_args(argv)
     try:
         text = args.handler(args)
@@ -602,15 +613,22 @@ def outcome(entry, argv):
     return code, out.getvalue(), err.getvalue()
 
 
+def by_repr(values):
+    return {key: repr(value) if isinstance(value, float) else value for key, value in values.items()}
+
+
 class TestDispatch:
-    """``cli.main`` goes straight to the subcommand's parser; nothing it prints may change."""
+    """``cli.main`` walks the subcommand's options when it can; nothing it prints may change."""
 
     @pytest.mark.parametrize(
         "argv",
         [
             [], ["-h"], ["probs", "-h"], ["probs", "--he"], ["probs", "--bet", "3"],
             ["probs", "--", "x"], ["probs", "stray"], ["bogus"], ["--out", "x", "probs"],
-            ["bell-test", "--visibility=0.3"],
+            ["bell-test", "--visibility=0.3"], ["probs", "--phi", "-33.1"],
+            ["probs", "--format=csv", "--format", "json"], ["probs", "--beta", "3", "--beta", "-1e-05"],
+            ["probs", "--out", ""], ["probs", "--beta="], ["probs", "--beta", "-1e"],
+            ["scan", "--grid", "phi=0:90:30", "--phi-prime", "-45"],
         ],
     )
     def test_matches_full_parser(self, argv):
@@ -620,6 +638,16 @@ class TestDispatch:
     @given(fuzzed_argv())
     def test_fuzzed_argv_matches_full_parser(self, argv):
         assert outcome(cli.main, argv) == outcome(reference_main, argv)
+
+    @settings(derandomize=True, max_examples=400, deadline=None)
+    @given(fuzzed_argv())
+    def test_walk_matches_full_parser(self, argv):
+        # whatever argv the option walk accepts, the full parser accepts too,
+        # with the same values; repr tells -0.0 from 0.0
+        walked = cli._walk_args(argv)
+        if walked is not None:
+            full = cli.build_parser().parse_args(argv)
+            assert by_repr(vars(walked)) == by_repr(vars(full))
 
 
 class TestClosedStdout:

@@ -21,6 +21,7 @@ from telebell.swap import (
     TSIRELSON_BOUND,
     _analyzer_angle,
     _correlation_matrix,
+    _optimal_axes,
     _swap_stage,
     chsh_on_pair,
     max_chsh,
@@ -37,6 +38,14 @@ PAIR_PARTS = arrays(float, 8, elements=st.floats(-1.0, 1.0)).filter(
     lambda x: np.linalg.norm(x) > 0.1
 )
 ANGLES = st.floats(-2 * math.pi, 2 * math.pi)
+# Amplitude matrices of the four Bell states, rows indexed by the first qubit.
+BELL_MATRICES = {
+    "00": np.array([[1.0, 0.0], [0.0, 1.0]]) / math.sqrt(2.0),
+    "01": np.array([[0.0, 1.0], [1.0, 0.0]]) / math.sqrt(2.0),
+    "10": np.array([[0.0, -1.0], [1.0, 0.0]]) / math.sqrt(2.0),
+    "11": np.array([[1.0, 0.0], [0.0, -1.0]]) / math.sqrt(2.0),
+}
+ULPS = st.lists(st.integers(-4, 4), min_size=4, max_size=4)
 
 
 @pytest.fixture(scope="module")
@@ -88,6 +97,30 @@ def sequential_swap_stage():
         (p, partial_inner(bra, post).normalize())
         for bra, (_, p, post) in zip(basis.states, results)
     ]
+
+
+def rotated_bell_state(outcome, theta_1, theta_2):
+    """A Bell state with each qubit turned by its own real rotation."""
+
+    def rotation(theta):
+        return np.array([[math.cos(theta), -math.sin(theta)], [math.sin(theta), math.cos(theta)]])
+
+    amplitudes = rotation(theta_1) @ BELL_MATRICES[outcome] @ rotation(theta_2).T
+    return PureState(amplitudes.ravel().astype(complex), ("D", "C"))
+
+
+def perturbed(m, ulps):
+    """M with entry k moved by ``ulps[k]`` units in the last place."""
+    out = m.ravel().copy()
+    for k, steps in enumerate(ulps):
+        for _ in range(abs(steps)):
+            out[k] = np.nextafter(out[k], math.copysign(math.inf, steps))
+    return out.reshape(2, 2)
+
+
+def analyzer_gap(angles, others):
+    """Largest distance between two analyzer angle lists; t and t + pi are one analyzer."""
+    return max(min(abs(a - b), math.pi - abs(a - b)) for a, b in zip(angles, others))
 
 
 def grid_reference_chsh(state, step_deg=3.0):
@@ -244,9 +277,9 @@ class TestBatchedCorrelations:
         )
 
     def test_swapped_pairs_keep_their_correlation_matrix(self):
-        # M is +-1 on the diagonal up to rounding and its singular values are
-        # degenerate, so the printed CHSH angles follow its rounding-level
-        # entries: they must match the per-pair path bit for bit
+        # M is +-1 on the diagonal up to rounding, and its rounding-level
+        # entries reach the last digits of the CHSH values: they must match
+        # the per-pair path bit for bit
         axes = (0.0, math.pi / 4)
         for _, pair in _swap_stage():
             expected = [[coefficient_row_correlation(pair, a, b) for b in axes] for a in axes]
@@ -289,6 +322,37 @@ class TestMaxChsh:
         assert scan.value <= TSIRELSON_BOUND + 1e-9
         assert abs(scan.grid_value - scan.value) <= 1e-12
         assert all(0.0 <= angle < math.pi for angle in scan.angles)
+
+
+    def test_swapped_pair_angles_ignore_rounding_noise(self, swap_report):
+        # s1 == s2 for every swapped pair, so the singular vectors of M carry
+        # no information; moving one entry by a few ulps must not move the
+        # angles, which are the ones the CLI has always printed
+        printed = {"00": [45, 90, 67.5, 112.5], "01": [45, 90, 22.5, 157.5],
+                   "10": [45, 90, 157.5, 22.5], "11": [45, 90, 112.5, 67.5]}
+        for outcome, (_, pair) in zip(BELL_OUTCOMES, _swap_stage()):
+            m = _correlation_matrix(pair)
+            _, angles = _optimal_axes(m)
+            assert [float(f"{math.degrees(a):.12g}") for a in angles] == printed[outcome]
+            assert swap_report.chsh_angles[outcome] == angles
+            for k in range(4):
+                for steps in (-4, -1, 1, 4):
+                    ulps = [steps if j == k else 0 for j in range(4)]
+                    _, moved = _optimal_axes(perturbed(m, ulps))
+                    assert analyzer_gap(angles, moved) <= 1e-12, (outcome, ulps)
+
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(st.sampled_from(BELL_OUTCOMES), ANGLES, ANGLES, ULPS)
+    def test_rotated_bell_states_keep_their_angles(self, outcome, theta_1, theta_2, ulps):
+        state = rotated_bell_state(outcome, theta_1, theta_2)
+        m = _correlation_matrix(state)
+        value, angles = _optimal_axes(m)
+        _, moved = _optimal_axes(perturbed(m, ulps))
+        assert analyzer_gap(angles, moved) <= 1e-12
+        assert value == pytest.approx(TSIRELSON_BOUND, abs=1e-12)
+        scan = max_chsh(state)
+        assert scan.angles == angles
+        assert scan.value == pytest.approx(TSIRELSON_BOUND, abs=1e-12)
 
 
 class TestSingleOutcomeSubensemble:
