@@ -9,6 +9,8 @@ standard setting pairs gives the quantum super-vector whose squared norm is 2.
 
 from __future__ import annotations
 
+from math import cos, sin
+
 import numpy as np
 
 from .teleport import AnalyzerSettings, JointDistribution, PreparationSettings
@@ -82,11 +84,11 @@ def correlation_closed_form(
 
     ``sin(2 beta) sin(2 beta') (cos phi cos phi', sin phi sin phi')``.
     """
-    ss = np.sin(2.0 * prep.beta) * np.sin(2.0 * analyzer.beta_prime)
+    ss = sin(2.0 * prep.beta) * sin(2.0 * analyzer.beta_prime)
     return np.array(
         [
-            ss * np.cos(prep.phi) * np.cos(analyzer.phi_prime),
-            ss * np.sin(prep.phi) * np.sin(analyzer.phi_prime),
+            ss * cos(prep.phi) * cos(analyzer.phi_prime),
+            ss * sin(prep.phi) * sin(analyzer.phi_prime),
         ]
     )
 

@@ -169,7 +169,9 @@ def _optimal_axes(m: np.ndarray) -> tuple[float, tuple[float, float, float, floa
     within ``_DEGENERATE_GAP``), M / s1 is orthogonal and every orthonormal
     pair u1, u2 is optimal; Alice's axes are then fixed and Bob's are
     ``v_i = (M / s1)^T u_i``, so that rounding noise in M does not pick
-    them.  The angles are folded into [0, pi).
+    them.  Otherwise each pair (u_i, v_i) is signed so that the
+    largest-magnitude component of u_i (the first, on a tie) is positive,
+    as LAPACK may return either sign.  The angles are folded into [0, pi).
     """
     left, sigma, right_t = np.linalg.svd(m)
     s1, s2 = sigma.tolist()
@@ -180,6 +182,10 @@ def _optimal_axes(m: np.ndarray) -> tuple[float, tuple[float, float, float, floa
             raise RuntimeError("correlation matrix with degenerate singular values is not orthogonal")
         left = _DEGENERATE_ALICE_AXES
         right_t = left.T @ orthogonal
+    else:
+        signs = np.sign(left[np.abs(left).argmax(axis=0), (0, 1)])
+        left = left * signs
+        right_t = right_t * signs[:, None]
     t = atan2(s2, s1)
     directions = (
         left[:, 1],

@@ -17,7 +17,6 @@ stored on the (B, A) subspace with B as the most significant bit.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 from math import cos, degrees, isfinite, pi, radians, sin, sqrt
 from operator import add
 
@@ -28,7 +27,6 @@ from .qstate import (
     PROB_FLOOR,
     ProjectiveBasis,
     PureState,
-    basis_coefficients,
     clamp_probability,
     tensor_product,
 )
@@ -202,9 +200,7 @@ def initial_state(prep: PreparationSettings) -> PureState:
     return tensor_product(PureState(_preparation_amplitudes(prep), ("A",)), _EPR_BC)
 
 
-@lru_cache(maxsize=1)
-def bell_basis() -> ProjectiveBasis:
-    """The four Bell states on the (B, A) subspace, labelled 00, 01, 10, 11."""
+def _bell_basis() -> ProjectiveBasis:
     r = 1.0 / sqrt(2.0)
     amplitudes = (
         (r, 0.0, 0.0, r),
@@ -214,6 +210,18 @@ def bell_basis() -> ProjectiveBasis:
     )
     states = tuple(PureState(np.array(a, dtype=complex), ("B", "A")) for a in amplitudes)
     return ProjectiveBasis(states, BELL_OUTCOMES)
+
+
+_BELL_BASIS = _bell_basis()
+# The Bell stage's fixed operands: the conjugated Bell rows, and the EPR pair
+# as a (B, 1, C) array that broadcasts against A's amplitudes.
+_BELL_CONJ = _BELL_BASIS._matrix_conj
+_EPR_B1C = _EPR_BC.amplitudes.reshape(2, 1, 2)
+
+
+def bell_basis() -> ProjectiveBasis:
+    """The four Bell states on the (B, A) subspace, labelled 00, 01, 10, 11."""
+    return _BELL_BASIS
 
 
 def dichotomic_basis(beta: float, phi: float, label: str) -> ProjectiveBasis:
@@ -249,7 +257,7 @@ def joint_distribution_closed_form(
             (1.0 - cc - ss * minus) / 8.0,
         ]
     )
-    table = np.column_stack([p_zero, 0.25 - p_zero])
+    table = np.array([(p, 0.25 - p) for p in p_zero])
     return JointDistribution(table).validate()
 
 
@@ -258,9 +266,14 @@ def _bell_stage(prep: PreparationSettings) -> np.ndarray:
 
     A (4, 2) array whose row j is ``<b_j|psi>``: qubit C's unnormalized
     state given Bell outcome j, whose squared norm is that outcome's
-    probability.
+    probability.  The initial state's amplitudes ``amp[a] * epr[b, c]``
+    are laid out with rows in (B, A) order and contracted with the fixed
+    conjugated Bell rows: the products and the matmul of
+    ``basis_coefficients(initial_state(prep), bell_basis(), ("B", "A"))``,
+    without rebuilding the state.
     """
-    return basis_coefficients(initial_state(prep), bell_basis(), ("B", "A"))
+    amp = _preparation_amplitudes(prep)
+    return _BELL_CONJ @ (amp[:, None] * _EPR_B1C).reshape(4, 2)
 
 
 def joint_distribution_simulated(

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from telebell.corrvec import (
     SETTING_PAIRS_DEGREES,
@@ -25,6 +27,18 @@ from telebell.teleport import (
 )
 
 SQRT_HALF = math.sqrt(0.5)
+ANGLES = st.floats(-10.0, 10.0)
+
+
+def numpy_correlation_closed_form(prep, analyzer):
+    """The closed-form correlation vector evaluated with numpy's ufuncs."""
+    ss = np.sin(2.0 * prep.beta) * np.sin(2.0 * analyzer.beta_prime)
+    return np.array(
+        [
+            ss * np.cos(prep.phi) * np.cos(analyzer.phi_prime),
+            ss * np.sin(prep.phi) * np.sin(analyzer.phi_prime),
+        ]
+    )
 
 
 class TestValueAssignment:
@@ -120,6 +134,14 @@ class TestCorrelationClosedForm:
                         )
                         assert np.max(np.abs(direct - via_closed)) <= 1e-12
                         assert np.max(np.abs(direct - via_simulated)) <= 1e-12
+
+    @settings(derandomize=True, max_examples=300)
+    @given(ANGLES, ANGLES, ANGLES, ANGLES)
+    def test_matches_numpy_form_bitwise(self, beta, phi, beta_prime, phi_prime):
+        prep = PreparationSettings(beta, phi)
+        analyzer = AnalyzerSettings(beta_prime, phi_prime)
+        e = correlation_closed_form(prep, analyzer)
+        assert e.tobytes() == numpy_correlation_closed_form(prep, analyzer).tobytes()
 
     def test_componentwise_bounds(self):
         rng = np.random.default_rng(91)

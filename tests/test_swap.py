@@ -1,10 +1,11 @@
 """Tests for entanglement swapping and the CHSH machinery."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -353,6 +354,27 @@ class TestMaxChsh:
         scan = max_chsh(state)
         assert scan.angles == angles
         assert scan.value == pytest.approx(TSIRELSON_BOUND, abs=1e-12)
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(
+        arrays(float, (2, 2), elements=st.floats(-1.0, 1.0)),
+        st.sampled_from(((-1.0, 1.0), (1.0, -1.0), (-1.0, -1.0))),
+    )
+    def test_axes_ignore_the_sign_lapack_picks(self, m, pair_signs):
+        # (u_i, v_i) -> (-u_i, -v_i) is an equally valid SVD of M; the angles
+        # must not depend on which of the two LAPACK returns
+        sigma = np.linalg.svd(m, compute_uv=False)
+        assume(sigma[0] - sigma[1] > 1e-6 * sigma[0])
+        expected = _optimal_axes(m)
+        signs = np.array(pair_signs)
+        svd = np.linalg.svd
+
+        def negated_svd(a):
+            left, s, right_t = svd(a)
+            return left * signs, s, right_t * signs[:, None]
+
+        with mock.patch.object(np.linalg, "svd", negated_svd):
+            assert _optimal_axes(m) == expected
 
 
 class TestSingleOutcomeSubensemble:

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from telebell.qstate import (
     PureState,
     apply_local_unitary,
+    basis_coefficients,
     inner_product,
     measure_probabilities,
     partial_inner,
@@ -20,6 +21,7 @@ from telebell.teleport import (
     AnalyzerSettings,
     JointDistribution,
     PreparationSettings,
+    _bell_stage,
     bell_basis,
     bob_basis,
     correction_unitary,
@@ -64,6 +66,19 @@ def closed_form_raw(beta, phi, beta_prime, phi_prime):
         ]
     )
     return np.column_stack([p0, 0.25 - p0])
+
+
+def same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+# beta + pi is a global sign; beta -> pi - beta with phi + pi leaves the
+# amplitudes and projectors unchanged.
+EQUIVALENT_ANGLES = (
+    lambda b, f: (b, f),
+    lambda b, f: (b + math.pi, f),
+    lambda b, f: (math.pi - b, f + math.pi),
+)
 
 
 class TestSettings:
@@ -146,6 +161,22 @@ class TestBellBasis:
         assert bell_basis().outcome_labels == BELL_OUTCOMES
 
 
+    def test_is_one_constant(self):
+        assert bell_basis() is bell_basis()
+
+
+class TestBellStage:
+    @settings(derandomize=True, max_examples=300)
+    @given(ANGLES, ANGLES)
+    def test_matches_basis_coefficients_bitwise(self, beta, phi):
+        # the fixed contraction performs the same products and matmul as the
+        # generic Born-rule path over the full initial state
+        for shift in EQUIVALENT_ANGLES:
+            prep = PreparationSettings(*shift(beta, phi))
+            expected = basis_coefficients(initial_state(prep), bell_basis(), ("B", "A"))
+            assert same_bits(_bell_stage(prep), expected)
+
+
 class TestBobBasis:
     def test_zero_beta_prime(self):
         basis = bob_basis(AnalyzerSettings(0.0, 0.7))
@@ -188,6 +219,17 @@ class TestClosedForm:
             assert np.max(np.abs(table - tables[0])) <= 1e-12
         expected = (1 - math.cos(2 * 0.9)) / 8
         assert tables[0][0, 0] == pytest.approx(expected, abs=1e-12)
+
+    @settings(derandomize=True, max_examples=300)
+    @given(ANGLES, ANGLES, ANGLES, ANGLES)
+    def test_table_matches_column_stack_bitwise(self, beta, phi, beta_prime, phi_prime):
+        for shift in EQUIVALENT_ANGLES:
+            prep = PreparationSettings(*shift(beta, phi))
+            analyzer = AnalyzerSettings(*shift(beta_prime, phi_prime))
+            table = joint_distribution_closed_form(prep, analyzer).table
+            # the column_stack reference, evaluated at the canonical angles
+            raw = closed_form_raw(prep.beta, prep.phi, analyzer.beta_prime, analyzer.phi_prime)
+            assert same_bits(table, JointDistribution(raw).table)
 
     def test_total_probability_one(self):
         rng = np.random.default_rng(59)
@@ -259,15 +301,10 @@ class TestSimulated:
     @settings(derandomize=True, max_examples=200)
     @given(ANGLES, ANGLES, ANGLES, ANGLES)
     def test_canonicalization_invariance(self, beta, phi, beta_prime, phi_prime):
-        # beta + pi is a global sign; beta -> pi - beta with phi + pi leaves the
-        # amplitudes and projectors unchanged.  Both sides, either way, must
-        # reproduce the formula at the original, unreduced angles.
+        # both sides, at either shift of the angles, must reproduce the
+        # formula at the original, unreduced angles
         raw = closed_form_raw(beta, phi, beta_prime, phi_prime)
-        shifts = (
-            lambda b, f: (b + math.pi, f),
-            lambda b, f: (math.pi - b, f + math.pi),
-        )
-        for shift in shifts:
+        for shift in EQUIVALENT_ANGLES[1:]:
             prep = PreparationSettings(*shift(beta, phi))
             analyzer = AnalyzerSettings(*shift(beta_prime, phi_prime))
             for dist in (
