@@ -57,7 +57,6 @@ from .teleport import (
     bell_basis,
     bob_basis,
     correction_unitary,
-    initial_state,
     joint_distribution_closed_form,
     joint_distribution_simulated,
     run_full_teleportation,

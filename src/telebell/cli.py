@@ -74,9 +74,9 @@ def _json_float(value: float) -> str:
     # range it is already the shortest repr of the float it reads as; repr
     # differs only where it picks another notation: integral values (no "."
     # or "e") and exponents 12 to 15, which repr writes out in full
-    _, e, exponent = text.partition("e")
-    if e:
-        if int(exponent) > 15 or -308 < int(exponent) < 12:
+    if "e" in text:
+        exponent = int(text[text.index("e") + 1 :])
+        if exponent > 15 or -308 < exponent < 12:
             return text
     elif "." in text:
         return text
@@ -86,6 +86,11 @@ def _json_float(value: float) -> str:
     if rounded != rounded:
         return "NaN"
     return "Infinity" if rounded > 0.0 else "-Infinity"
+
+
+# A layout's placeholder leaf.  ``_json`` renders it as a raw NUL, which
+# ``encode_basestring_ascii`` never emits, so the rendered text splits there.
+_SLOT = object()
 
 
 def _json(obj, indent: str) -> str:
@@ -112,6 +117,8 @@ def _json(obj, indent: str) -> str:
         return _json_float(float(obj))
     if obj is None:
         return "null"
+    if obj is _SLOT:
+        return "\0"
     raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
@@ -119,11 +126,33 @@ def _render_json(payload: dict) -> str:
     return _json(payload, "") + "\n"
 
 
-def _require_checks(checks: dict[str, float]) -> dict[str, float]:
-    for name, value in checks.items():
+def _layout(payload: dict) -> tuple[str, ...]:
+    """``_render_json(payload)`` cut at each ``_SLOT`` leaf: the text around its values.
+
+    Each JSON subcommand builds its layout once, at import, and ``_fill``
+    renders one request's values into it.
+    """
+    return tuple(_render_json(payload).split("\0"))
+
+
+def _fill(layout: tuple[str, ...], values) -> str:
+    """The layout's text with ``values`` rendered into its slots, in order.
+
+    Each value renders as ``_json`` would render it in place of its slot;
+    a count that differs from the layout's raises ValueError.
+    """
+    parts = [layout[0]]
+    for value, text in zip(values, layout[1:], strict=True):
+        parts.append(_json_float(value) if type(value) is float else _json(value, ""))
+        parts.append(text)
+    return "".join(parts)
+
+
+def _require_checks(names: tuple[str, ...], values: list[float]) -> list[float]:
+    for name, value in zip(names, values, strict=True):
         if value > CHECK_TOL:
             raise InvariantBreach(f"check {name} = {value:.3e} exceeds {CHECK_TOL}")
-    return checks
+    return values
 
 
 def _visibility_arg(text: str) -> float:
@@ -196,6 +225,20 @@ def _add_angle_args(parser: argparse.ArgumentParser, *, analyzer: bool) -> None:
         )
 
 
+_PROBS_CHECKS = ("total_deviation", "marginal_deviation", "oracle_deviation")
+_PROBS_LAYOUT = _layout(
+    {
+        "schema": SCHEMA_VERSION,
+        "command": "probs",
+        "settings": dict.fromkeys(
+            ("beta_deg", "phi_deg", "beta_prime_deg", "phi_prime_deg"), _SLOT
+        ),
+        "probabilities": {bell: dict.fromkeys(BOB_OUTCOMES, _SLOT) for bell in BELL_OUTCOMES},
+        "checks": dict.fromkeys(_PROBS_CHECKS, _SLOT),
+    }
+)
+
+
 def _cmd_probs(args: argparse.Namespace) -> str:
     prep = PreparationSettings.from_degrees(args.beta, args.phi)
     analyzer = AnalyzerSettings.from_degrees(args.beta_prime, args.phi_prime)
@@ -206,13 +249,12 @@ def _cmd_probs(args: argparse.Namespace) -> str:
     entries = closed.table.ravel().tolist()
     m0, m1, m2, m3 = closed._marginal
     checks = _require_checks(
-        {
-            "total_deviation": abs(((m0 + m1) + (m2 + m3)) - 1.0),
-            "marginal_deviation": max(abs(m - 0.25) for m in closed._marginal),
-            "oracle_deviation": max(
-                abs(c - s) for c, s in zip(entries, simulated.table.ravel().tolist())
-            ),
-        }
+        _PROBS_CHECKS,
+        [
+            abs(((m0 + m1) + (m2 + m3)) - 1.0),
+            max(abs(m - 0.25) for m in closed._marginal),
+            max(abs(c - s) for c, s in zip(entries, simulated.table.ravel().tolist())),
+        ],
     )
     if args.format == "csv":
         buffer = io.StringIO()
@@ -223,56 +265,59 @@ def _cmd_probs(args: argparse.Namespace) -> str:
             for (bell, bob), p in zip(itertools.product(BELL_OUTCOMES, BOB_OUTCOMES), entries)
         )
         return buffer.getvalue()
-    payload = {
+    return _fill(
+        _PROBS_LAYOUT, (args.beta, args.phi, args.beta_prime, args.phi_prime, *entries, *checks)
+    )
+
+
+_BELL_TEST_CHECKS = ("strategy_count_deviation", "bound_symmetry", "ratio_residual")
+_BELL_TEST_LAYOUT = _layout(
+    {
         "schema": SCHEMA_VERSION,
-        "command": "probs",
-        "settings": {
-            "beta_deg": args.beta,
-            "phi_deg": args.phi,
-            "beta_prime_deg": args.beta_prime,
-            "phi_prime_deg": args.phi_prime,
+        "command": "bell_test",
+        "visibility": _SLOT,
+        "quantum_value": _SLOT,
+        "lhv_upper_bound": _SLOT,
+        "lhv_lower_bound": _SLOT,
+        "violated": _SLOT,
+        "violation_ratio": _SLOT,
+        "margin": _SLOT,
+        "optimal_strategy": {
+            "bob": {"-45": _SLOT, "45": _SLOT},
+            "alice": {"0": [_SLOT, _SLOT], "90": [_SLOT, _SLOT]},
         },
-        "probabilities": {
-            bell: dict(zip(BOB_OUTCOMES, entries[2 * i : 2 * i + 2]))
-            for i, bell in enumerate(BELL_OUTCOMES)
-        },
-        "checks": checks,
+        "checks": dict.fromkeys(_BELL_TEST_CHECKS, _SLOT),
     }
-    return _render_json(payload)
-
-
-def _strategy_payload(strategy) -> dict:
-    return {
-        "bob": {"-45": strategy.bob[0], "45": strategy.bob[1]},
-        "alice": {"0": list(strategy.alice[0]), "90": list(strategy.alice[1])},
-    }
+)
 
 
 def _cmd_bell_test(args: argparse.Namespace) -> str:
     report = bell_test(args.visibility)
     checks = _require_checks(
-        {
-            "strategy_count_deviation": float(abs(len(STRATEGY_SIGNS) - 64)),
-            "bound_symmetry": abs(report.lhv_upper_bound + report.lhv_lower_bound),
-            "ratio_residual": abs(
-                report.violation_ratio * report.lhv_upper_bound - report.quantum_value
-            ),
-        }
+        _BELL_TEST_CHECKS,
+        [
+            float(abs(len(STRATEGY_SIGNS) - 64)),
+            abs(report.lhv_upper_bound + report.lhv_lower_bound),
+            abs(report.violation_ratio * report.lhv_upper_bound - report.quantum_value),
+        ],
     )
-    payload = {
-        "schema": SCHEMA_VERSION,
-        "command": "bell_test",
-        "visibility": args.visibility,
-        "quantum_value": report.quantum_value,
-        "lhv_upper_bound": report.lhv_upper_bound,
-        "lhv_lower_bound": report.lhv_lower_bound,
-        "violated": report.violated,
-        "violation_ratio": report.violation_ratio,
-        "margin": report.quantum_value - report.lhv_upper_bound,
-        "optimal_strategy": _strategy_payload(report.optimal_strategy),
-        "checks": checks,
-    }
-    return _render_json(payload)
+    strategy = report.optimal_strategy
+    return _fill(
+        _BELL_TEST_LAYOUT,
+        (
+            args.visibility,
+            report.quantum_value,
+            report.lhv_upper_bound,
+            report.lhv_lower_bound,
+            report.violated,
+            report.violation_ratio,
+            report.quantum_value - report.lhv_upper_bound,
+            *strategy.bob,
+            *strategy.alice[0],
+            *strategy.alice[1],
+            *checks,
+        ),
+    )
 
 
 def _cmd_scan(args: argparse.Namespace) -> str:
@@ -303,35 +348,62 @@ def _cmd_scan(args: argparse.Namespace) -> str:
     return buffer.getvalue()
 
 
+_SWAP_CHECKS = (
+    "total_probability_deviation",
+    "uniformity_deviation",
+    "purity_deviation",
+    "tsirelson_excess",
+)
+_SWAP_LAYOUT = _layout(
+    {
+        "schema": SCHEMA_VERSION,
+        "command": "swap",
+        "outcomes": [
+            {
+                "bell": c,
+                **dict.fromkeys(("probability", "reduced_purity", "chsh_max"), _SLOT),
+                "chsh_angles_deg": [_SLOT] * 4,
+            }
+            for c in BELL_OUTCOMES
+        ],
+        "checks": dict.fromkeys(_SWAP_CHECKS, _SLOT),
+    }
+)
+
+
 def _cmd_swap(args: argparse.Namespace) -> str:
     report = run_swap()
     probabilities = [report.outcome_probabilities[c] for c in BELL_OUTCOMES]
     purities = [reduced_purity(report.post_states[c], report.post_states[c].factor_labels[0]) for c in BELL_OUTCOMES]
     chsh = [report.chsh_values[c] for c in BELL_OUTCOMES]
     checks = _require_checks(
-        {
-            "total_probability_deviation": abs(sum(probabilities) - 1.0),
-            "uniformity_deviation": max(abs(p - 0.25) for p in probabilities),
-            "purity_deviation": max(abs(p - 0.5) for p in purities),
-            "tsirelson_excess": max(0.0, max(chsh) - TSIRELSON_BOUND),
-        }
-    )
-    payload = {
-        "schema": SCHEMA_VERSION,
-        "command": "swap",
-        "outcomes": [
-            {
-                "bell": c,
-                "probability": report.outcome_probabilities[c],
-                "reduced_purity": purities[i],
-                "chsh_max": report.chsh_values[c],
-                "chsh_angles_deg": [math.degrees(a) for a in report.chsh_angles[c]],
-            }
-            for i, c in enumerate(BELL_OUTCOMES)
+        _SWAP_CHECKS,
+        [
+            abs(sum(probabilities) - 1.0),
+            max(abs(p - 0.25) for p in probabilities),
+            max(abs(p - 0.5) for p in purities),
+            max(0.0, max(chsh) - TSIRELSON_BOUND),
         ],
-        "checks": checks,
+    )
+    values = []
+    for c, p, purity, chsh_max in zip(BELL_OUTCOMES, probabilities, purities, chsh):
+        values += (p, purity, chsh_max, *(math.degrees(a) for a in report.chsh_angles[c]))
+    return _fill(_SWAP_LAYOUT, (*values, *checks))
+
+
+_NOISE_THRESHOLD_CHECKS = ("threshold_equation_residual",)
+_NOISE_THRESHOLD_LAYOUT = _layout(
+    {
+        "schema": SCHEMA_VERSION,
+        "command": "noise_threshold",
+        "threshold": _SLOT,
+        "bracket": {
+            side: dict.fromkeys(("visibility", "quantum_value", "violated"), _SLOT)
+            for side in ("below", "above")
+        },
+        "checks": dict.fromkeys(_NOISE_THRESHOLD_CHECKS, _SLOT),
     }
-    return _render_json(payload)
+)
 
 
 def _cmd_noise_threshold(args: argparse.Namespace) -> str:
@@ -343,27 +415,38 @@ def _cmd_noise_threshold(args: argparse.Namespace) -> str:
     if below.violated or not above.violated:
         raise InvariantBreach("Bell verdict does not flip across the computed threshold")
     checks = _require_checks(
-        {"threshold_equation_residual": abs(threshold * super_norm_sq(quantum) - bound)}
+        _NOISE_THRESHOLD_CHECKS, [abs(threshold * super_norm_sq(quantum) - bound)]
     )
-    payload = {
+    return _fill(
+        _NOISE_THRESHOLD_LAYOUT,
+        (
+            threshold,
+            threshold - 0.01,
+            below.quantum_value,
+            below.violated,
+            threshold + 0.01,
+            above.quantum_value,
+            above.violated,
+            *checks,
+        ),
+    )
+
+
+_TELEPORT_FIDELITY_CHECKS = (
+    "total_probability_deviation",
+    "probability_deviation",
+    "fidelity_deviation",
+)
+_TELEPORT_FIDELITY_LAYOUT = _layout(
+    {
         "schema": SCHEMA_VERSION,
-        "command": "noise_threshold",
-        "threshold": threshold,
-        "bracket": {
-            "below": {
-                "visibility": threshold - 0.01,
-                "quantum_value": below.quantum_value,
-                "violated": below.violated,
-            },
-            "above": {
-                "visibility": threshold + 0.01,
-                "quantum_value": above.quantum_value,
-                "violated": above.violated,
-            },
-        },
-        "checks": checks,
+        "command": "teleport_fidelity",
+        "settings": dict.fromkeys(("beta_deg", "phi_deg"), _SLOT),
+        "outcomes": [dict.fromkeys(("bell", "probability", "fidelity"), _SLOT)]
+        * len(BELL_OUTCOMES),
+        "checks": dict.fromkeys(_TELEPORT_FIDELITY_CHECKS, _SLOT),
     }
-    return _render_json(payload)
+)
 
 
 def _cmd_teleport_fidelity(args: argparse.Namespace) -> str:
@@ -372,22 +455,17 @@ def _cmd_teleport_fidelity(args: argparse.Namespace) -> str:
     probabilities = [p for _, p, _ in results]
     fidelities = [f for _, _, f in results]
     checks = _require_checks(
-        {
-            "total_probability_deviation": abs(sum(probabilities) - 1.0),
-            "probability_deviation": max(abs(p - 0.25) for p in probabilities),
-            "fidelity_deviation": max(abs(f - 1.0) for f in fidelities),
-        }
-    )
-    payload = {
-        "schema": SCHEMA_VERSION,
-        "command": "teleport_fidelity",
-        "settings": {"beta_deg": args.beta, "phi_deg": args.phi},
-        "outcomes": [
-            {"bell": outcome, "probability": p, "fidelity": f} for outcome, p, f in results
+        _TELEPORT_FIDELITY_CHECKS,
+        [
+            abs(sum(probabilities) - 1.0),
+            max(abs(p - 0.25) for p in probabilities),
+            max(abs(f - 1.0) for f in fidelities),
         ],
-        "checks": checks,
-    }
-    return _render_json(payload)
+    )
+    return _fill(
+        _TELEPORT_FIDELITY_LAYOUT,
+        (args.beta, args.phi, *itertools.chain.from_iterable(results), *checks),
+    )
 
 
 def _build_parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:

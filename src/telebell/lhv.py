@@ -148,9 +148,16 @@ QUANTUM_BOUND = lhv_extremal_bound(QUANTUM_SUPER_VECTOR)
 
 @dataclass(frozen=True)
 class StrategyEnsemble:
-    """Finite mixture of deterministic strategies with normalized weights."""
+    """Finite mixture of deterministic strategies with normalized weights.
+
+    ``_rows`` holds each strategy's row of ``STRATEGY_SIGNS`` and
+    ``_weights`` the weights, both as read-only arrays in entry order; they
+    follow from ``entries``, so they take no part in equality or hashing.
+    """
 
     entries: tuple[tuple[DeterministicStrategy, float], ...]
+    _rows: np.ndarray = field(init=False, repr=False, compare=False)
+    _weights: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         entries = tuple((strategy, float(weight)) for strategy, weight in self.entries)
@@ -164,13 +171,17 @@ class StrategyEnsemble:
         if abs(total - 1.0) > 1e-12:
             raise ValueError(f"weights sum to {total!r}, not 1")
         object.__setattr__(self, "entries", entries)
+        rows = np.array([strategy.row for strategy, _ in entries], dtype=np.intp)
+        rows.setflags(write=False)
+        object.__setattr__(self, "_rows", rows)
+        weights = np.array(weights)
+        weights.setflags(write=False)
+        object.__setattr__(self, "_weights", weights)
 
 
 def ensemble_super_vector(ensemble: StrategyEnsemble) -> np.ndarray:
     """Weight-averaged strategy super-vector."""
-    rows = [strategy.row for strategy, _ in ensemble.entries]
-    weights = np.array([weight for _, weight in ensemble.entries])
-    return (weights @ _FLAT_SIGNS[rows]).reshape(4, 2)
+    return (ensemble._weights @ _FLAT_SIGNS.take(ensemble._rows, axis=0)).reshape(4, 2)
 
 
 def ensemble_correlation(

@@ -28,7 +28,6 @@ from .qstate import (
     ProjectiveBasis,
     PureState,
     clamp_probability,
-    tensor_product,
 )
 
 BELL_OUTCOMES = ("00", "01", "10", "11")
@@ -40,7 +39,6 @@ __all__ = [
     "PreparationSettings",
     "AnalyzerSettings",
     "JointDistribution",
-    "initial_state",
     "bell_basis",
     "bob_basis",
     "dichotomic_basis",
@@ -192,14 +190,6 @@ def _preparation_amplitudes(prep: PreparationSettings) -> np.ndarray:
     return np.array([sin(prep.beta), cos(prep.beta) * np.exp(1j * prep.phi)])
 
 
-_EPR_BC = PureState(np.array([1.0, 0.0, 0.0, 1.0]) / sqrt(2.0), ("B", "C"))
-
-
-def initial_state(prep: PreparationSettings) -> PureState:
-    """Prepared qubit A tensored with the (B, C) EPR pair; labels (A, B, C)."""
-    return tensor_product(PureState(_preparation_amplitudes(prep), ("A",)), _EPR_BC)
-
-
 def _bell_basis() -> ProjectiveBasis:
     r = 1.0 / sqrt(2.0)
     amplitudes = (
@@ -214,9 +204,11 @@ def _bell_basis() -> ProjectiveBasis:
 
 _BELL_BASIS = _bell_basis()
 # The Bell stage's fixed operands: the conjugated Bell rows, and the EPR pair
-# as a (B, 1, C) array that broadcasts against A's amplitudes.
+# (|00> + |11>)/sqrt(2) on (B, C) as a (B, 1, C) array that broadcasts
+# against A's amplitudes.
 _BELL_CONJ = _BELL_BASIS._matrix_conj
-_EPR_B1C = _EPR_BC.amplitudes.reshape(2, 1, 2)
+_EPR_B1C = np.array(np.array([1.0, 0.0, 0.0, 1.0]) / sqrt(2.0), dtype=complex).reshape(2, 1, 2)
+_EPR_B1C.setflags(write=False)
 
 
 def bell_basis() -> ProjectiveBasis:
@@ -264,13 +256,13 @@ def joint_distribution_closed_form(
 def _bell_stage(prep: PreparationSettings) -> np.ndarray:
     """Alice's Bell measurement on (B, A) of the initial state; independent of Bob.
 
-    A (4, 2) array whose row j is ``<b_j|psi>``: qubit C's unnormalized
-    state given Bell outcome j, whose squared norm is that outcome's
-    probability.  The initial state's amplitudes ``amp[a] * epr[b, c]``
+    The initial state is the prepared qubit A tensored with the (B, C) EPR
+    pair.  The result is a (4, 2) array whose row j is ``<b_j|psi>``: qubit
+    C's unnormalized state given Bell outcome j, whose squared norm is that
+    outcome's probability.  The state's amplitudes ``amp[a] * epr[b, c]``
     are laid out with rows in (B, A) order and contracted with the fixed
-    conjugated Bell rows: the products and the matmul of
-    ``basis_coefficients(initial_state(prep), bell_basis(), ("B", "A"))``,
-    without rebuilding the state.
+    conjugated Bell rows: the products and the matmul of ``basis_coefficients``
+    on the full 3-qubit state, without building that state.
     """
     amp = _preparation_amplitudes(prep)
     return _BELL_CONJ @ (amp[:, None] * _EPR_B1C).reshape(4, 2)

@@ -9,6 +9,7 @@ import os
 import resource
 import subprocess
 import sys
+from types import SimpleNamespace
 from unittest import mock
 
 import jsonschema
@@ -18,7 +19,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from telebell import cli
-from telebell.schema import available_schemas, load_schema
+from telebell.lhv import BellTestReport, DeterministicStrategy
+from telebell.schema import SCHEMA_VERSION, available_schemas, load_schema
+from telebell.teleport import BELL_OUTCOMES, BOB_OUTCOMES
 
 SQRT_HALF = math.sqrt(0.5)
 ANGLE_OPTIONS = ("--beta", "--phi", "--beta-prime", "--phi-prime")
@@ -57,6 +60,13 @@ def probs_formula(beta, phi, beta_prime, phi_prime):
 def reference_render(payload):
     return json.dumps(round_floats(payload), indent=2) + "\n"
 
+
+# subnormals, integral values, the exponents where the 12-digit form and
+# repr pick different notations, and the non-finite
+BOUNDARY_FLOATS = (
+    5e-324, 2.2250738585e-313, 1e11, 1e12, 123456789012.5, 9.99999999999e15, 1e16, 1e22,
+    2.0, -0.0, 1e-5, 1.5e-7, math.nan, math.inf, -math.inf,
+)
 
 JSON_VALUES = st.recursive(
     st.none()
@@ -414,11 +424,7 @@ class TestRenderJson:
             "text": "\u00e9\u6f22\U0001f600 \"q\" \\ \n\t\x00",
             "\u00fc": [1.23456789012345e-7, 123456789012345.0, math.inf, -math.inf, math.nan],
             "nested": [[{"a": [0.1 + 0.2]}]],
-            # subnormals, integral values, the exponents where the 12-digit
-            # form and repr pick different notations, and the non-finite
-            "boundaries": [5e-324, 2.2250738585e-313, 1e11, 1e12, 123456789012.5,
-                           9.99999999999e15, 1e16, 1e22, 2.0, -0.0, 1e-5, 1.5e-7,
-                           math.nan, math.inf, -math.inf],
+            "boundaries": list(BOUNDARY_FLOATS),
         }
         assert cli._render_json(payload) == reference_render(payload)
 
@@ -431,6 +437,229 @@ class TestRenderJson:
     def test_rejects_unknown_type(self):
         with pytest.raises(TypeError):
             cli._render_json({"x": object()})
+
+
+# The payload builders of the per-request renderer that the layouts
+# replaced, kept as the reference: each builds the dict that was rendered
+# with ``_render_json``, from the same results.
+
+
+def probs_payload(args, entries, checks):
+    return {
+        "schema": SCHEMA_VERSION,
+        "command": "probs",
+        "settings": {
+            "beta_deg": args.beta,
+            "phi_deg": args.phi,
+            "beta_prime_deg": args.beta_prime,
+            "phi_prime_deg": args.phi_prime,
+        },
+        "probabilities": {
+            bell: dict(zip(BOB_OUTCOMES, entries[2 * i : 2 * i + 2]))
+            for i, bell in enumerate(BELL_OUTCOMES)
+        },
+        "checks": checks,
+    }
+
+
+def strategy_payload(strategy):
+    return {
+        "bob": {"-45": strategy.bob[0], "45": strategy.bob[1]},
+        "alice": {"0": list(strategy.alice[0]), "90": list(strategy.alice[1])},
+    }
+
+
+def bell_test_payload(args, report, checks):
+    return {
+        "schema": SCHEMA_VERSION,
+        "command": "bell_test",
+        "visibility": args.visibility,
+        "quantum_value": report.quantum_value,
+        "lhv_upper_bound": report.lhv_upper_bound,
+        "lhv_lower_bound": report.lhv_lower_bound,
+        "violated": report.violated,
+        "violation_ratio": report.violation_ratio,
+        "margin": report.quantum_value - report.lhv_upper_bound,
+        "optimal_strategy": strategy_payload(report.optimal_strategy),
+        "checks": checks,
+    }
+
+
+def swap_payload(report, purities, checks):
+    return {
+        "schema": SCHEMA_VERSION,
+        "command": "swap",
+        "outcomes": [
+            {
+                "bell": c,
+                "probability": report.outcome_probabilities[c],
+                "reduced_purity": purities[i],
+                "chsh_max": report.chsh_values[c],
+                "chsh_angles_deg": [math.degrees(a) for a in report.chsh_angles[c]],
+            }
+            for i, c in enumerate(BELL_OUTCOMES)
+        ],
+        "checks": checks,
+    }
+
+
+def noise_threshold_payload(threshold, below, above, checks):
+    return {
+        "schema": SCHEMA_VERSION,
+        "command": "noise_threshold",
+        "threshold": threshold,
+        "bracket": {
+            "below": {
+                "visibility": threshold - 0.01,
+                "quantum_value": below.quantum_value,
+                "violated": below.violated,
+            },
+            "above": {
+                "visibility": threshold + 0.01,
+                "quantum_value": above.quantum_value,
+                "violated": above.violated,
+            },
+        },
+        "checks": checks,
+    }
+
+
+def teleport_fidelity_payload(args, results, checks):
+    return {
+        "schema": SCHEMA_VERSION,
+        "command": "teleport_fidelity",
+        "settings": {"beta_deg": args.beta, "phi_deg": args.phi},
+        "outcomes": [
+            {"bell": outcome, "probability": p, "fidelity": f} for outcome, p, f in results
+        ],
+        "checks": checks,
+    }
+
+
+# Every value a payload can carry: the boundary floats, any float, and numpy
+# float64 for the renderer's fallback path.
+NUMBERS = st.sampled_from(BOUNDARY_FLOATS) | st.floats() | st.floats().map(np.float64)
+SIGNS = st.sampled_from((-1, 1))
+
+
+def numbers(n):
+    return st.lists(NUMBERS, min_size=n, max_size=n)
+
+
+def checks_of(names):
+    return numbers(len(names)).map(lambda values: dict(zip(names, values)))
+
+
+# Each case draws the results of one subcommand and returns the values it
+# fills its layout with, in the subcommand's order, and the reference payload.
+
+
+@st.composite
+def probs_case(draw):
+    beta, phi, beta_prime, phi_prime = draw(numbers(4))
+    args = SimpleNamespace(beta=beta, phi=phi, beta_prime=beta_prime, phi_prime=phi_prime)
+    entries = draw(numbers(8))
+    checks = draw(checks_of(("total_deviation", "marginal_deviation", "oracle_deviation")))
+    values = (args.beta, args.phi, args.beta_prime, args.phi_prime, *entries, *checks.values())
+    return values, probs_payload(args, entries, checks)
+
+
+@st.composite
+def bell_test_case(draw):
+    visibility, quantum, upper, lower, ratio = draw(numbers(5))
+    strategy = DeterministicStrategy(
+        bob=tuple(draw(st.lists(SIGNS, min_size=2, max_size=2))),
+        alice=tuple(tuple(draw(st.lists(SIGNS, min_size=2, max_size=2))) for _ in range(2)),
+    )
+    report = BellTestReport(quantum, upper, lower, draw(st.booleans()), ratio, strategy)
+    checks = draw(checks_of(("strategy_count_deviation", "bound_symmetry", "ratio_residual")))
+    values = (
+        visibility, report.quantum_value, report.lhv_upper_bound, report.lhv_lower_bound,
+        report.violated, report.violation_ratio, report.quantum_value - report.lhv_upper_bound,
+        *strategy.bob, *strategy.alice[0], *strategy.alice[1], *checks.values(),
+    )
+    return values, bell_test_payload(SimpleNamespace(visibility=visibility), report, checks)
+
+
+@st.composite
+def swap_case(draw):
+    report = SimpleNamespace(
+        outcome_probabilities=dict(zip(BELL_OUTCOMES, draw(numbers(4)))),
+        chsh_values=dict(zip(BELL_OUTCOMES, draw(numbers(4)))),
+        chsh_angles={c: tuple(draw(numbers(4))) for c in BELL_OUTCOMES},
+    )
+    purities = draw(numbers(4))
+    checks = draw(
+        checks_of(
+            ("total_probability_deviation", "uniformity_deviation", "purity_deviation",
+             "tsirelson_excess")
+        )
+    )
+    values = []
+    for c, purity in zip(BELL_OUTCOMES, purities):
+        values += (
+            report.outcome_probabilities[c], purity, report.chsh_values[c],
+            *(math.degrees(a) for a in report.chsh_angles[c]),
+        )
+    return (*values, *checks.values()), swap_payload(report, purities, checks)
+
+
+@st.composite
+def noise_threshold_case(draw):
+    threshold, below_value, above_value = draw(numbers(3))
+    below = SimpleNamespace(quantum_value=below_value, violated=draw(st.booleans()))
+    above = SimpleNamespace(quantum_value=above_value, violated=draw(st.booleans()))
+    checks = draw(checks_of(("threshold_equation_residual",)))
+    values = (
+        threshold, threshold - 0.01, below.quantum_value, below.violated,
+        threshold + 0.01, above.quantum_value, above.violated, *checks.values(),
+    )
+    return values, noise_threshold_payload(threshold, below, above, checks)
+
+
+@st.composite
+def teleport_fidelity_case(draw):
+    beta, phi = draw(numbers(2))
+    args = SimpleNamespace(beta=beta, phi=phi)
+    results = [(outcome, *draw(numbers(2))) for outcome in BELL_OUTCOMES]
+    checks = draw(
+        checks_of(("total_probability_deviation", "probability_deviation", "fidelity_deviation"))
+    )
+    values = (args.beta, args.phi, *(v for result in results for v in result), *checks.values())
+    return values, teleport_fidelity_payload(args, results, checks)
+
+
+LAYOUT_CASES = {
+    "probs": (cli._PROBS_LAYOUT, probs_case()),
+    "bell-test": (cli._BELL_TEST_LAYOUT, bell_test_case()),
+    "swap": (cli._SWAP_LAYOUT, swap_case()),
+    "noise-threshold": (cli._NOISE_THRESHOLD_LAYOUT, noise_threshold_case()),
+    "teleport-fidelity": (cli._TELEPORT_FIDELITY_LAYOUT, teleport_fidelity_case()),
+}
+
+
+class TestLayouts:
+    @pytest.mark.parametrize("name", sorted(LAYOUT_CASES))
+    @settings(derandomize=True, max_examples=150)
+    @given(data=st.data())
+    def test_fill_matches_payload_render(self, name, data):
+        layout, case = LAYOUT_CASES[name]
+        values, payload = data.draw(case)
+        assert cli._fill(layout, values) == cli._render_json(payload)
+
+    @pytest.mark.parametrize("name", sorted(LAYOUT_CASES))
+    def test_wrong_slot_count_raises(self, name):
+        layout = LAYOUT_CASES[name][0]
+        values = [0.5] * (len(layout) - 1)
+        cli._fill(layout, values)
+        for wrong in (values[:-1], values + [0.5]):
+            with pytest.raises(ValueError):
+                cli._fill(layout, wrong)
+
+    def test_every_json_subcommand_has_a_layout(self):
+        assert sorted(LAYOUT_CASES) == sorted(
+            name for name in cli._shared_parsers()[1] if name != "scan"
+        )
 
 
 class TestDeterminism:

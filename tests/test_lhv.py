@@ -59,6 +59,13 @@ def loop_ensemble_correlation(ensemble, alice_phi_deg, bob_phi_deg):
     return total
 
 
+def gathered_ensemble_super_vector(ensemble):
+    """Reference: rows and weights gathered from the entries on every call."""
+    rows = [strategy.row for strategy, _ in ensemble.entries]
+    weights = np.array([weight for _, weight in ensemble.entries])
+    return (weights @ STRATEGY_SIGNS.reshape(64, -1)[rows]).reshape(4, 2)
+
+
 def random_ensemble(rng, strategies):
     weights = rng.random(len(strategies))
     weights /= weights.sum()
@@ -232,6 +239,20 @@ class TestArrayPaths:
         assert np.max(
             np.abs(ensemble_super_vector(ensemble) - loop_ensemble_super_vector(ensemble))
         ) <= 1e-15
+
+    @settings(derandomize=True, max_examples=200)
+    @given(ENSEMBLE_ENTRIES)
+    def test_ensemble_matches_gathered_rows_bitwise(self, entries):
+        ensemble = ensemble_from_entries(entries)
+        actual = ensemble_super_vector(ensemble)
+        expected = gathered_ensemble_super_vector(ensemble)
+        assert actual.dtype == expected.dtype and actual.shape == expected.shape
+        assert actual.tobytes() == expected.tobytes()
+        # the kept rows and weights are read-only and follow from the entries
+        assert not ensemble._rows.flags.writeable and not ensemble._weights.flags.writeable
+        twin = StrategyEnsemble(ensemble.entries)
+        assert twin == ensemble and hash(twin) == hash(ensemble)
+        assert "_rows" not in repr(ensemble) and "_weights" not in repr(ensemble)
 
     @settings(derandomize=True, max_examples=200)
     @given(ENSEMBLE_ENTRIES)

@@ -293,7 +293,7 @@ class TestMaxChsh:
             scan = max_chsh(analytic_post_state(outcome))
             assert abs(scan.value - TSIRELSON_BOUND) <= 1e-6
             assert scan.value <= TSIRELSON_BOUND + 1e-9
-            assert scan.grid_value <= scan.value + 1e-9
+            assert scan.closed_form_value <= scan.value + 1e-9
 
     def test_born_value_at_scan_angles_matches(self):
         scan = max_chsh(analytic_post_state("01"))
@@ -321,7 +321,7 @@ class TestMaxChsh:
         assert scan.value >= grid_reference_chsh(state) - 1e-12
         assert chsh_on_pair(state, scan.angles) == pytest.approx(scan.value, abs=1e-12)
         assert scan.value <= TSIRELSON_BOUND + 1e-9
-        assert abs(scan.grid_value - scan.value) <= 1e-12
+        assert abs(scan.closed_form_value - scan.value) <= 1e-12
         assert all(0.0 <= angle < math.pi for angle in scan.angles)
 
 

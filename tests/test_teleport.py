@@ -25,11 +25,12 @@ from telebell.teleport import (
     bell_basis,
     bob_basis,
     correction_unitary,
-    initial_state,
     joint_distribution_closed_form,
     joint_distribution_simulated,
     run_full_teleportation,
 )
+
+from reference import initial_state
 
 SQRT_HALF = 1 / math.sqrt(2.0)
 ANGLES = st.floats(-10.0, 10.0)
