@@ -109,13 +109,17 @@ def build_quantum_super_vector() -> np.ndarray:
     Entries evaluate to (sqrt(1/2), 0), (sqrt(1/2), 0), (0, -sqrt(1/2)),
     (0, sqrt(1/2)) up to rounding.
     """
-    return np.stack(
+    return np.array(
         [correlation_closed_form(prep, analyzer) for prep, analyzer in standard_setting_pairs()]
     )
 
 
 def _as_super_vector(v) -> np.ndarray:
-    arr = np.asarray(v, dtype=float)
+    arr = np.asarray(v)
+    # refused, not cast: a cast to float would drop the imaginary parts
+    if arr.dtype.kind == "c":
+        raise ValueError("super-vector must be real, got a complex array")
+    arr = np.asarray(arr, dtype=float)
     if arr.ndim != 2 or arr.shape[1] != 2 or arr.shape[0] == 0:
         raise ValueError(f"super-vector must have shape (n, 2), got {arr.shape}")
     return arr

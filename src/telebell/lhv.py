@@ -131,11 +131,15 @@ def lhv_extremal_bound(v_qm) -> ExtremalBound:
     By sign symmetry of the enumeration the minimum is the negated maximum.
     Ties resolve to the first strategy in enumeration order.
     """
-    v = np.asarray(v_qm, dtype=float)
+    v = np.asarray(v_qm)
+    # refused, not cast: a cast to float would drop the imaginary parts
+    if v.dtype.kind == "c":
+        raise ValueError("super-vector must be real, got a complex array")
+    v = np.asarray(v, dtype=float)
     if v.shape != STRATEGY_SIGNS.shape[1:]:
         raise ValueError(f"super-vector must have shape (4, 2), got {v.shape}")
     values = (STRATEGY_SIGNS * v).sum(axis=(1, 2))
-    best = int(np.argmax(values))
+    best = int(values.argmax())
     return ExtremalBound(float(values[best]), _STRATEGIES[best])
 
 

@@ -73,7 +73,7 @@ class PureState:
             raise ValueError(
                 f"expected {2 ** len(labels)} amplitudes for labels {labels}, got shape {amps.shape}"
             )
-        if not np.all(np.isfinite(amps)):
+        if not np.isfinite(amps).all():
             raise ValueError("amplitudes must be finite")
         amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
@@ -143,9 +143,9 @@ class ProjectiveBasis:
             raise ValueError(f"basis must span the subspace: need {dim} states, got {len(states)}")
         if len(labels) != len(states) or len(set(labels)) != len(labels):
             raise ValueError("need one distinct outcome label per basis state")
-        matrix = np.stack([s.amplitudes for s in states])
+        matrix = np.array([s.amplitudes for s in states])
         gram = matrix.conj() @ matrix.T
-        if np.max(np.abs(gram - np.eye(dim))) > ATOL:
+        if np.abs(gram - np.eye(dim)).max() > ATOL:
             raise ValueError("basis states are not orthonormal within tolerance")
         matrix.setflags(write=False)
         matrix_conj = matrix.conj()
@@ -276,7 +276,7 @@ def apply_local_unitary(state: PureState, u, target_label: str) -> PureState:
     mat = np.asarray(u, dtype=complex)
     if mat.shape != (2, 2):
         raise ValueError(f"expected a 2x2 matrix, got shape {mat.shape}")
-    if np.max(np.abs(mat.conj().T @ mat - np.eye(2))) > ATOL:
+    if np.abs(mat.conj().T @ mat - np.eye(2)).max() > ATOL:
         raise ValueError("matrix is not unitary within tolerance")
     try:
         axis = state.factor_labels.index(target_label)

@@ -65,7 +65,7 @@ def reduced_purity(state: PureState, label: str) -> float:
     tensor = state.amplitudes.reshape([2] * state.num_qubits)
     mat = np.moveaxis(tensor, axis, 0).reshape(2, -1)
     rho = mat @ mat.conj().T
-    return float(np.trace(rho @ rho).real)
+    return float((rho @ rho).trace().real)
 
 
 def _analyzer_rows(angles) -> np.ndarray:

@@ -147,6 +147,9 @@ class JointDistribution:
     _marginal: tuple[float, ...] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
+        # refused, not cast: a cast to float would drop the imaginary parts
+        if np.asarray(self.table).dtype.kind == "c":
+            raise ValueError("probabilities must be real, got a complex table")
         table = np.array(self.table, dtype=float)
         if table.shape != (4, 2):
             raise ValueError(f"expected a (4, 2) probability table, got shape {table.shape}")
@@ -241,13 +244,11 @@ def joint_distribution_closed_form(
     ss = sin(2.0 * prep.beta) * sin(2.0 * analyzer.beta_prime)
     minus = cos(prep.phi - analyzer.phi_prime)
     plus = cos(prep.phi + analyzer.phi_prime)
-    p_zero = np.array(
-        [
-            (1.0 - cc + ss * minus) / 8.0,
-            (1.0 + cc + ss * plus) / 8.0,
-            (1.0 + cc - ss * plus) / 8.0,
-            (1.0 - cc - ss * minus) / 8.0,
-        ]
+    p_zero = (
+        (1.0 - cc + ss * minus) / 8.0,
+        (1.0 + cc + ss * plus) / 8.0,
+        (1.0 + cc - ss * plus) / 8.0,
+        (1.0 - cc - ss * minus) / 8.0,
     )
     table = np.array([(p, 0.25 - p) for p in p_zero])
     return JointDistribution(table).validate()
@@ -277,7 +278,7 @@ def joint_distribution_simulated(
     basis state ``a_k``.  Independent of the closed form; the two must
     agree within 1e-12.
     """
-    amplitudes = _bell_stage(prep) @ bob_basis(analyzer).matrix.conj().T
+    amplitudes = _bell_stage(prep) @ bob_basis(analyzer)._matrix_conj.T
     return JointDistribution(np.abs(amplitudes) ** 2).validate()
 
 
@@ -288,7 +289,7 @@ _CORRECTIONS = {
     "11": np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex),
 }
 for _outcome, _u in _CORRECTIONS.items():
-    if np.max(np.abs(_u.conj().T @ _u - np.eye(2))) > ATOL:
+    if np.abs(_u.conj().T @ _u - np.eye(2)).max() > ATOL:
         raise RuntimeError(f"correction for Bell outcome {_outcome} is not unitary")
     _u.setflags(write=False)
 

@@ -26,6 +26,8 @@ from telebell.teleport import (
     joint_distribution_simulated,
 )
 
+from reference import quantum_super_vector
+
 SQRT_HALF = math.sqrt(0.5)
 ANGLES = st.floats(-10.0, 10.0)
 
@@ -175,6 +177,12 @@ class TestSuperVector:
         for row, (prep, analyzer) in zip(v, standard_setting_pairs()):
             assert np.max(np.abs(row - correlation_closed_form(prep, analyzer))) <= 1e-12
 
+    def test_matches_stack_form_bitwise(self):
+        v = build_quantum_super_vector()
+        expected = quantum_super_vector()
+        assert v.dtype == expected.dtype and v.shape == expected.shape
+        assert v.tobytes() == expected.tobytes()
+
     def test_setting_pair_order(self):
         assert SETTING_PAIRS_DEGREES == ((0, -45), (0, 45), (90, -45), (90, 45))
 
@@ -210,6 +218,14 @@ class TestSuperDot:
         for _ in range(200):
             a, b = rng.standard_normal((2, 4, 2))
             assert super_dot(a, b) ** 2 <= super_norm_sq(a) * super_norm_sq(b) + 1e-12
+
+    def test_complex_rejected(self):
+        # the norm of i * v is 2, which a cast to float would read as 0
+        v = build_quantum_super_vector()
+        with pytest.raises(ValueError, match="real"):
+            super_norm_sq(v * 1j)
+        with pytest.raises(ValueError, match="real"):
+            super_dot(v, v + 0j)
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):

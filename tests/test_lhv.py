@@ -26,6 +26,8 @@ from telebell.lhv import (
     strategy_super_vector,
 )
 
+from reference import extremal_bound
+
 SQRT_TWO = math.sqrt(2.0)
 
 
@@ -153,6 +155,25 @@ class TestExtremalBound:
         assert bound.maximum == 8.0
         assert strategy_super_vector(bound.argmax) is not None
         assert np.array_equal(strategy_super_vector(bound.argmax), h)
+
+    @settings(derandomize=True, max_examples=300)
+    @given(
+        st.one_of(
+            arrays(float, (4, 2), elements=st.floats(-3.0, 3.0)),
+            # small integers tie often: the first strategy in order must win
+            arrays(float, (4, 2), elements=st.integers(-2, 2).map(float)),
+        )
+    )
+    def test_matches_function_form_bitwise(self, v):
+        bound = lhv_extremal_bound(v)
+        maximum, row = extremal_bound(v)
+        assert bound.maximum.hex() == maximum.hex()
+        assert bound.argmax.row == row
+
+    def test_complex_rejected(self):
+        # a cast to float would drop the imaginary parts; they are refused instead
+        with pytest.raises(ValueError, match="real"):
+            lhv_extremal_bound(build_quantum_super_vector() * 1j)
 
     def test_argmax_attains_maximum(self):
         quantum = build_quantum_super_vector()

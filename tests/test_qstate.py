@@ -20,6 +20,8 @@ from telebell.qstate import (
     tensor_product,
 )
 
+from reference import basis_matrix, pure_state_amplitudes
+
 
 def random_state(rng, labels):
     n = len(labels)
@@ -70,6 +72,41 @@ class TestPureState:
         state = ket("0", ("A",))
         with pytest.raises(ValueError):
             state.amplitudes[0] = 2.0
+
+
+def checked(build, *args):
+    """A constructor's array as (dtype, shape, bytes), or its ValueError's message."""
+    try:
+        arr = build(*args)
+    except ValueError as exc:
+        return "error", str(exc)
+    return "ok", arr.dtype, arr.shape, arr.tobytes()
+
+
+@st.composite
+def amplitude_cases(draw):
+    """0-5 labels, mostly 1-4, sometimes one repeated; the right number of
+    amplitudes or one off; sometimes one non-finite real or imaginary part."""
+    labels = "ABCDE"[: draw(st.sampled_from((1, 2, 3, 4) * 3 + (0, 5)))]
+    if len(labels) > 1 and draw(st.integers(0, 7)) == 0:
+        labels = labels[:-1] + labels[0]
+    labels = tuple(labels)
+    size = max(2 ** len(labels) + draw(st.sampled_from((0, 0, 0, -1, 1))), 0)
+    parts = draw(st.lists(st.floats(-2.0, 2.0), min_size=2 * size, max_size=2 * size))
+    if parts and draw(st.booleans()):
+        bad = draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+        parts[draw(st.integers(0, len(parts) - 1))] = bad
+    return [complex(re, im) for re, im in zip(parts[0::2], parts[1::2])], labels
+
+
+class TestPureStateChecks:
+    @settings(derandomize=True, max_examples=300)
+    @given(amplitude_cases())
+    def test_matches_function_form(self, case):
+        amplitudes, labels = case
+        assert checked(lambda: PureState(amplitudes, labels).amplitudes) == checked(
+            pure_state_amplitudes, amplitudes, labels
+        )
 
 
 class TestTensorProduct:
@@ -220,6 +257,10 @@ class TestMeasureProbabilities:
             measure_probabilities(ket("00", ("A", "B")), z_basis("A"), ("B",))
 
 
+def same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
 def random_basis(rng, labels):
     dim = 2 ** len(labels)
     g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
@@ -230,6 +271,69 @@ def random_basis(rng, labels):
 
 
 LABELS = ("A", "B", "C", "D")
+
+
+# Off-diagonal Gram residuals at ATOL, one ulp either side of it, and around
+# it.  Basis state i carries ``t * phase`` on basis vector j, so the largest
+# Gram residual is exactly |t|: the other entries round back to 0 and 1.
+ATOL_NEIGHBOURS = (np.nextafter(ATOL, 0.0), ATOL, np.nextafter(ATOL, 1.0))
+GRAM_RESIDUALS = st.one_of(st.sampled_from(ATOL_NEIGHBOURS), st.floats(0.5 * ATOL, 1.5 * ATOL))
+PHASES = (1.0, -1.0, 1j, -1j)
+
+
+class TestProjectiveBasisChecks:
+    @settings(derandomize=True, max_examples=300)
+    @given(
+        GRAM_RESIDUALS,
+        st.sampled_from(PHASES),
+        st.integers(1, 2).flatmap(
+            lambda n: st.tuples(
+                st.just(n), st.sampled_from(list(itertools.permutations(range(2**n), 2)))
+            )
+        ),
+    )
+    def test_gram_residual_matches_function_form(self, t, phase, case):
+        n, (i, j) = case
+        rows = np.eye(2**n, dtype=complex)
+        rows[i, j] = t * phase
+        states = tuple(PureState(row, LABELS[:n]) for row in rows)
+        outcomes = tuple(str(k) for k in range(2**n))
+        result = checked(lambda: ProjectiveBasis(states, outcomes).matrix)
+        assert result == checked(basis_matrix, states, outcomes)
+        assert result[0] == ("ok" if t <= ATOL else "error")
+
+    @settings(derandomize=True, max_examples=200)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(1, 4),
+        st.sampled_from(["none", "repeat", "drop", "scale", "relabel", "mixed labels"]),
+    )
+    def test_defects_match_function_form(self, seed, n, defect):
+        rng = np.random.default_rng(seed)
+        states = list(random_basis(rng, LABELS[:n]).states)
+        outcomes = [str(k) for k in range(2**n)]
+        if defect == "repeat":
+            states[-1] = states[0]
+        elif defect == "drop":
+            states.pop()
+        elif defect == "scale":
+            scale = 1.0 + rng.uniform(-1e-11, 1e-11)
+            states[0] = PureState(states[0].amplitudes * scale, LABELS[:n])
+        elif defect == "relabel":
+            outcomes[-1] = outcomes[0]
+        elif defect == "mixed labels":
+            states[-1] = PureState(states[-1].amplitudes, ("E",) + LABELS[1:n])
+        assert checked(lambda: ProjectiveBasis(states, outcomes).matrix) == checked(
+            basis_matrix, states, outcomes
+        )
+
+    @settings(derandomize=True, max_examples=200)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 4))
+    def test_matrix_is_stack_of_rows_bitwise(self, seed, n):
+        basis = random_basis(np.random.default_rng(seed), LABELS[:n])
+        stacked = np.stack([s.amplitudes for s in basis.states])
+        assert same_bits(basis.matrix, stacked)
+        assert same_bits(basis._matrix_conj, stacked.conj())
 
 
 class TestBasisCoefficients:

@@ -34,6 +34,8 @@ from telebell.swap import (
 )
 from telebell.teleport import BELL_OUTCOMES, bell_basis, dichotomic_basis
 
+from reference import reduced_purity as trace_form_purity
+
 # Real and imaginary parts of a random 2-qubit state, away from zero.
 PAIR_PARTS = arrays(float, 8, elements=st.floats(-1.0, 1.0)).filter(
     lambda x: np.linalg.norm(x) > 0.1
@@ -164,6 +166,15 @@ class TestReducedPurity:
     def test_unknown_label(self):
         with pytest.raises(ValueError):
             reduced_purity(analytic_post_state("00"), "X")
+
+    @settings(derandomize=True, max_examples=200)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 4), st.integers(0, 3))
+    def test_matches_trace_form_bitwise(self, seed, n, which):
+        rng = np.random.default_rng(seed)
+        amplitudes = rng.standard_normal(2**n) + 1j * rng.standard_normal(2**n)
+        state = PureState(amplitudes, ("D", "A", "B", "C")[:n]).normalize()
+        label = state.factor_labels[which % n]
+        assert reduced_purity(state, label).hex() == trace_form_purity(state, label).hex()
 
 
 class TestRunSwap:

@@ -30,7 +30,7 @@ from telebell.teleport import (
     run_full_teleportation,
 )
 
-from reference import initial_state
+from reference import closed_form_table, initial_state, simulated_table
 
 SQRT_HALF = 1 / math.sqrt(2.0)
 ANGLES = st.floats(-10.0, 10.0)
@@ -232,6 +232,16 @@ class TestClosedForm:
             raw = closed_form_raw(prep.beta, prep.phi, analyzer.beta_prime, analyzer.phi_prime)
             assert same_bits(table, JointDistribution(raw).table)
 
+    @settings(derandomize=True, max_examples=300)
+    @given(ANGLES, ANGLES, ANGLES, ANGLES)
+    def test_table_matches_array_p_zero_bitwise(self, beta, phi, beta_prime, phi_prime):
+        # four Python floats give the bits of the numpy-array form they replace
+        for shift in EQUIVALENT_ANGLES:
+            prep = PreparationSettings(*shift(beta, phi))
+            analyzer = AnalyzerSettings(*shift(beta_prime, phi_prime))
+            table = joint_distribution_closed_form(prep, analyzer).table
+            assert same_bits(table, closed_form_table(prep, analyzer))
+
     def test_total_probability_one(self):
         rng = np.random.default_rng(59)
         for _ in range(100):
@@ -314,6 +324,16 @@ class TestSimulated:
             ):
                 assert np.max(np.abs(dist.table - raw)) <= 1e-12
 
+    @settings(derandomize=True, max_examples=300)
+    @given(ANGLES, ANGLES, ANGLES, ANGLES)
+    def test_table_matches_reconjugated_rows_bitwise(self, beta, phi, beta_prime, phi_prime):
+        # Bob's stored conjugated rows give the bits of conjugating ``matrix`` again
+        for shift in EQUIVALENT_ANGLES:
+            prep = PreparationSettings(*shift(beta, phi))
+            analyzer = AnalyzerSettings(*shift(beta_prime, phi_prime))
+            table = joint_distribution_simulated(prep, analyzer).table
+            assert same_bits(table, simulated_table(prep, analyzer))
+
     def test_phase_conjugation_symmetry(self):
         rng = np.random.default_rng(67)
         for _ in range(50):
@@ -373,6 +393,13 @@ class TestJointDistribution:
         table[0, 0] = 0.5
         assert dist.probability("00", "0") == 0.125
         assert not dist.table.flags.writeable
+
+    def test_rejects_complex_table(self):
+        # a cast to float would drop the imaginary parts; they are refused instead
+        with pytest.raises(ValueError, match="real"):
+            JointDistribution(np.full((4, 2), 0.125) + 0.5j)
+        with pytest.raises(ValueError, match="real"):
+            JointDistribution(np.full((4, 2), 0.125 + 0j))
 
     def test_unknown_outcome_labels(self):
         dist = JointDistribution(np.full((4, 2), 0.125))
