@@ -150,7 +150,7 @@ def _fill(layout: tuple[str, ...], values) -> str:
 
 def _require_checks(names: tuple[str, ...], values: list[float]) -> list[float]:
     for name, value in zip(names, values, strict=True):
-        if value > CHECK_TOL:
+        if not (value <= CHECK_TOL):  # a NaN residual is a breach too
             raise InvariantBreach(f"check {name} = {value:.3e} exceeds {CHECK_TOL}")
     return values
 

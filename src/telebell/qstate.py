@@ -100,15 +100,23 @@ class PureState:
 def _trusted_state(amplitudes: np.ndarray, labels: tuple[str, ...]) -> PureState:
     """Wrap a freshly computed amplitude array without re-validation.
 
-    Internal constructor for arrays produced by this module's own arithmetic
-    on already-validated states; skips the copy and finiteness checks of the
-    public constructor.
+    Internal constructor for fresh complex arrays of the right length whose
+    entries are finite by construction: this module's arithmetic on
+    already-validated states, or cos and sin of finite angles.  Skips the
+    copy and finiteness checks of the public constructor.
     """
     state = object.__new__(PureState)
     amplitudes.setflags(write=False)
     object.__setattr__(state, "amplitudes", amplitudes)
     object.__setattr__(state, "factor_labels", labels)
     return state
+
+
+# Read-only identities of every basis dimension a state can have, for the
+# orthonormality checks.
+_IDENTITIES = {2**n: np.eye(2**n) for n in range(1, MAX_QUBITS + 1)}
+for _eye in _IDENTITIES.values():
+    _eye.setflags(write=False)
 
 
 def _kron_1d(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -144,11 +152,11 @@ class ProjectiveBasis:
         if len(labels) != len(states) or len(set(labels)) != len(labels):
             raise ValueError("need one distinct outcome label per basis state")
         matrix = np.array([s.amplitudes for s in states])
-        gram = matrix.conj() @ matrix.T
-        if np.abs(gram - np.eye(dim)).max() > ATOL:
+        matrix_conj = matrix.conj()
+        # written so that a NaN residual (an overflowed Gram entry) fails too
+        if not (np.abs(matrix_conj @ matrix.T - _IDENTITIES[dim]).max() <= ATOL):
             raise ValueError("basis states are not orthonormal within tolerance")
         matrix.setflags(write=False)
-        matrix_conj = matrix.conj()
         matrix_conj.setflags(write=False)
         object.__setattr__(self, "states", states)
         object.__setattr__(self, "outcome_labels", labels)
@@ -276,7 +284,7 @@ def apply_local_unitary(state: PureState, u, target_label: str) -> PureState:
     mat = np.asarray(u, dtype=complex)
     if mat.shape != (2, 2):
         raise ValueError(f"expected a 2x2 matrix, got shape {mat.shape}")
-    if np.abs(mat.conj().T @ mat - np.eye(2)).max() > ATOL:
+    if not (np.abs(mat.conj().T @ mat - _IDENTITIES[2]).max() <= ATOL):
         raise ValueError("matrix is not unitary within tolerance")
     try:
         axis = state.factor_labels.index(target_label)

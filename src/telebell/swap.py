@@ -183,7 +183,7 @@ def _optimal_axes(m: np.ndarray) -> tuple[float, tuple[float, float, float, floa
     # a zero M (s2 == 0 == s1) reaches 0 at any angles and has no s1 to divide by
     if s2 > 0.0 and s1 - s2 <= _DEGENERATE_GAP * s1:
         orthogonal = m / s1
-        if np.abs(orthogonal.T @ orthogonal - np.eye(2)).max() > 1e-9:
+        if not (np.abs(orthogonal.T @ orthogonal - np.eye(2)).max() <= 1e-9):
             raise RuntimeError("correlation matrix with degenerate singular values is not orthogonal")
         left = _DEGENERATE_ALICE_AXES
         right_t = left.T @ orthogonal

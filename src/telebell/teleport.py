@@ -27,6 +27,7 @@ from .qstate import (
     PROB_FLOOR,
     ProjectiveBasis,
     PureState,
+    _trusted_state,
     clamp_probability,
 )
 
@@ -224,10 +225,17 @@ def dichotomic_basis(beta: float, phi: float, label: str) -> ProjectiveBasis:
 
     Outcome "0" projects on ``cos(beta)|0> + sin(beta) e^{i phi}|1>``,
     outcome "1" on the orthogonal ``-sin(beta)|0> + cos(beta) e^{i phi}|1>``.
+    Non-finite angles raise ``ValueError``.
     """
+    if not (isfinite(beta) and isfinite(phi)):
+        raise ValueError("angles must be finite")
+    # cos and sin of finite angles are finite complex amplitudes, so the
+    # states skip PureState's copy and finiteness check; ProjectiveBasis
+    # still checks their orthonormality
     phase = np.exp(1j * phi)
-    zero = PureState(np.array([cos(beta), sin(beta) * phase]), (label,))
-    one = PureState(np.array([-sin(beta), cos(beta) * phase]), (label,))
+    labels = (label,)
+    zero = _trusted_state(np.array([cos(beta), sin(beta) * phase]), labels)
+    one = _trusted_state(np.array([-sin(beta), cos(beta) * phase]), labels)
     return ProjectiveBasis((zero, one), BOB_OUTCOMES)
 
 
@@ -282,16 +290,23 @@ def joint_distribution_simulated(
     return JointDistribution(np.abs(amplitudes) ** 2).validate()
 
 
-_CORRECTIONS = {
-    "00": np.eye(2, dtype=complex),
-    "01": np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
-    "10": np.array([[0.0, -1.0], [1.0, 0.0]], dtype=complex),
-    "11": np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex),
-}
-for _outcome, _u in _CORRECTIONS.items():
-    if np.abs(_u.conj().T @ _u - np.eye(2)).max() > ATOL:
-        raise RuntimeError(f"correction for Bell outcome {_outcome} is not unitary")
-    _u.setflags(write=False)
+def _checked_corrections(corrections: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+    """The correction unitaries, each checked unitary and made read-only."""
+    for outcome, u in corrections.items():
+        if not (np.abs(u.conj().T @ u - np.eye(2)).max() <= ATOL):
+            raise RuntimeError(f"correction for Bell outcome {outcome} is not unitary")
+        u.setflags(write=False)
+    return corrections
+
+
+_CORRECTIONS = _checked_corrections(
+    {
+        "00": np.eye(2, dtype=complex),
+        "01": np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
+        "10": np.array([[0.0, -1.0], [1.0, 0.0]], dtype=complex),
+        "11": np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex),
+    }
+)
 
 
 def correction_unitary(outcome: str) -> np.ndarray:

@@ -5,13 +5,14 @@ paths can be checked against it.
 """
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 
 from telebell.corrvec import correlation_closed_form, standard_setting_pairs
 from telebell.lhv import STRATEGY_SIGNS
 from telebell.qstate import ATOL, MAX_QUBITS, PureState, tensor_product
-from telebell.teleport import JointDistribution, _bell_stage, bob_basis
+from telebell.teleport import BOB_OUTCOMES, JointDistribution, _bell_stage
 
 
 def initial_state(prep):
@@ -66,7 +67,7 @@ def basis_matrix(states, outcome_labels):
         raise ValueError("need one distinct outcome label per basis state")
     matrix = np.stack([s.amplitudes for s in states])
     gram = matrix.conj() @ matrix.T
-    if np.max(np.abs(gram - np.eye(dim))) > ATOL:
+    if not (np.max(np.abs(gram - np.eye(dim))) <= ATOL):
         raise ValueError("basis states are not orthonormal within tolerance")
     return matrix
 
@@ -89,9 +90,24 @@ def closed_form_table(prep, analyzer):
     return JointDistribution(table).validate().table
 
 
+def bob_rows(analyzer):
+    """Bob's analyzer states as rows, each checked by ``pure_state_amplitudes``
+    and the pair by ``basis_matrix``: the ``matrix`` that ``bob_basis`` must give."""
+    beta, phi = analyzer.beta_prime, analyzer.phi_prime
+    phase = np.exp(1j * phi)
+    states = tuple(
+        SimpleNamespace(amplitudes=pure_state_amplitudes(amplitudes, ("C",)), factor_labels=("C",))
+        for amplitudes in (
+            [math.cos(beta), math.sin(beta) * phase],
+            [-math.sin(beta), math.cos(beta) * phase],
+        )
+    )
+    return basis_matrix(states, BOB_OUTCOMES)
+
+
 def simulated_table(prep, analyzer):
-    """The oracle's table with Bob's rows conjugated again from ``matrix``."""
-    amplitudes = _bell_stage(prep) @ bob_basis(analyzer).matrix.conj().T
+    """The oracle's table with Bob's rows from ``bob_rows``, conjugated here."""
+    amplitudes = _bell_stage(prep) @ bob_rows(analyzer).conj().T
     return JointDistribution(np.abs(amplitudes) ** 2).validate().table
 
 

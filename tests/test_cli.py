@@ -400,6 +400,13 @@ class TestExitCodes:
         assert out == ""
         assert "oracle_deviation" in err
 
+    def test_nan_check_residual_exits_3(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "super_norm_sq", lambda v: math.nan)
+        code, out, err = run_cli(["noise-threshold"], capsys)
+        assert code == 3
+        assert out == ""
+        assert "threshold_equation_residual = nan" in err
+
 
 SUBCOMMANDS = {
     "probs": ["probs", "--beta", "33", "--phi", "71", "--beta-prime", "58", "--phi-prime", "-12"],

@@ -181,6 +181,16 @@ class TestProjectiveBasis:
         with pytest.raises(ValueError, match="orthonormal"):
             ProjectiveBasis((bad, ket("1", ("A",))), ("0", "1"))
 
+    def test_overflowed_gram_rejected(self):
+        # each state's squared norm overflows, so the Gram diagonal is NaN
+        huge = 1e155 + 1e155j
+        states = (PureState([huge, 0.0], ("A",)), PureState([0.0, huge], ("A",)))
+        with np.errstate(all="ignore"):
+            with pytest.raises(ValueError, match="orthonormal"):
+                ProjectiveBasis(states, ("0", "1"))
+            with pytest.raises(ValueError, match="orthonormal"):
+                basis_matrix(states, ("0", "1"))
+
 
 class TestMeasureProbabilities:
     def test_product_state_in_bell_basis(self):
@@ -410,6 +420,10 @@ class TestApplyLocalUnitary:
     def test_non_unitary_rejected(self):
         with pytest.raises(ValueError, match="unitary"):
             apply_local_unitary(ket("0", ("A",)), np.array([[1, 0], [0, 2]]), "A")
+
+    def test_nan_matrix_rejected(self):
+        with np.errstate(all="ignore"), pytest.raises(ValueError, match="unitary"):
+            apply_local_unitary(ket("0", ("C",)), [[np.nan, 0.0], [0.0, 1.0]], "C")
 
     def test_unknown_label_rejected(self):
         with pytest.raises(ValueError, match="unknown factor label"):

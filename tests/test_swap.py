@@ -387,6 +387,17 @@ class TestMaxChsh:
         with mock.patch.object(np.linalg, "svd", negated_svd):
             assert _optimal_axes(m) == expected
 
+    def test_nan_orthogonality_residual_rejected(self):
+        # an SVD that reports equal, finite singular values for a matrix
+        # holding a NaN: the degenerate branch's check must still refuse it
+        def degenerate_svd(a):
+            return np.eye(2), np.array([1.0, 1.0]), np.eye(2)
+
+        m = np.array([[np.nan, 0.0], [0.0, 1.0]])
+        with mock.patch.object(np.linalg, "svd", degenerate_svd), np.errstate(all="ignore"):
+            with pytest.raises(RuntimeError, match="not orthogonal"):
+                _optimal_axes(m)
+
 
 class TestSingleOutcomeSubensemble:
     def test_selected_outcome(self):

@@ -1,6 +1,7 @@
 """Tests for the channel-cut teleportation scenario."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -22,15 +23,17 @@ from telebell.teleport import (
     JointDistribution,
     PreparationSettings,
     _bell_stage,
+    _checked_corrections,
     bell_basis,
     bob_basis,
     correction_unitary,
+    dichotomic_basis,
     joint_distribution_closed_form,
     joint_distribution_simulated,
     run_full_teleportation,
 )
 
-from reference import closed_form_table, initial_state, simulated_table
+from reference import bob_rows, closed_form_table, initial_state, simulated_table
 
 SQRT_HALF = 1 / math.sqrt(2.0)
 ANGLES = st.floats(-10.0, 10.0)
@@ -196,6 +199,14 @@ class TestBobBasis:
             overlap = inner_product(basis.states[0], basis.states[1])
             assert abs(overlap) <= 1e-12
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_angles_rejected(self, bad):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for beta, phi in ((bad, 0.3), (0.3, bad), (bad, bad)):
+                with pytest.raises(ValueError, match="finite"):
+                    dichotomic_basis(beta, phi, "C")
+
 
 class TestClosedForm:
     def test_matched_quarter_settings(self):
@@ -327,10 +338,15 @@ class TestSimulated:
     @settings(derandomize=True, max_examples=300)
     @given(ANGLES, ANGLES, ANGLES, ANGLES)
     def test_table_matches_reconjugated_rows_bitwise(self, beta, phi, beta_prime, phi_prime):
-        # Bob's stored conjugated rows give the bits of conjugating ``matrix`` again
+        # Bob's basis, built from unchecked states, has the rows of the
+        # validated reference, and its stored conjugated rows give the bits
+        # of conjugating those rows again
         for shift in EQUIVALENT_ANGLES:
             prep = PreparationSettings(*shift(beta, phi))
             analyzer = AnalyzerSettings(*shift(beta_prime, phi_prime))
+            basis, rows = bob_basis(analyzer), bob_rows(analyzer)
+            assert same_bits(basis.matrix, rows)
+            assert same_bits(basis._matrix_conj, rows.conj())
             table = joint_distribution_simulated(prep, analyzer).table
             assert same_bits(table, simulated_table(prep, analyzer))
 
@@ -419,6 +435,11 @@ class TestCorrections:
     def test_unknown_outcome(self):
         with pytest.raises(ValueError):
             correction_unitary("22")
+
+    def test_nan_correction_rejected(self):
+        nan_entry = np.array([[np.nan, 0.0], [0.0, 1.0]], dtype=complex)
+        with np.errstate(all="ignore"), pytest.raises(RuntimeError, match="01 is not unitary"):
+            _checked_corrections({"00": np.eye(2, dtype=complex), "01": nan_entry})
 
     def test_all_corrections_reach_unit_fidelity(self):
         rng = np.random.default_rng(71)
