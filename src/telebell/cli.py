@@ -22,8 +22,8 @@ from typing import Callable
 
 import numpy as np
 
-from .corrvec import correlation_closed_form, super_norm_sq, build_quantum_super_vector
-from .lhv import STRATEGY_SIGNS, bell_test, check_visibility, lhv_extremal_bound
+from .corrvec import correlation_closed_form, super_norm_sq
+from .lhv import QUANTUM_BOUND, QUANTUM_SUPER_VECTOR, STRATEGY_SIGNS, bell_test, check_visibility
 from .noise import violation_threshold
 from .schema import SCHEMA_VERSION
 from .swap import TSIRELSON_BOUND, reduced_purity, run_swap
@@ -155,6 +155,12 @@ def _require_checks(names: tuple[str, ...], values: list[float]) -> list[float]:
     return values
 
 
+def _max_residual(residuals) -> float:
+    """The largest residual, or NaN if any is NaN: ``max`` keeps a NaN only in first place."""
+    residuals = list(residuals)
+    return math.nan if any(map(math.isnan, residuals)) else max(residuals)
+
+
 def _visibility_arg(text: str) -> float:
     float(text)  # a non-number raises ValueError here: argparse's "invalid value" message
     try:
@@ -252,8 +258,8 @@ def _cmd_probs(args: argparse.Namespace) -> str:
         _PROBS_CHECKS,
         [
             abs(((m0 + m1) + (m2 + m3)) - 1.0),
-            max(abs(m - 0.25) for m in closed._marginal),
-            max(abs(c - s) for c, s in zip(entries, simulated.table.ravel().tolist())),
+            _max_residual(abs(m - 0.25) for m in closed._marginal),
+            _max_residual(abs(c - s) for c, s in zip(entries, simulated.table.ravel().tolist())),
         ],
     )
     if args.format == "csv":
@@ -380,9 +386,9 @@ def _cmd_swap(args: argparse.Namespace) -> str:
         _SWAP_CHECKS,
         [
             abs(sum(probabilities) - 1.0),
-            max(abs(p - 0.25) for p in probabilities),
-            max(abs(p - 0.5) for p in purities),
-            max(0.0, max(chsh) - TSIRELSON_BOUND),
+            _max_residual(abs(p - 0.25) for p in probabilities),
+            _max_residual(abs(p - 0.5) for p in purities),
+            _max_residual((0.0, *(c - TSIRELSON_BOUND for c in chsh))),
         ],
     )
     values = []
@@ -408,14 +414,13 @@ _NOISE_THRESHOLD_LAYOUT = _layout(
 
 def _cmd_noise_threshold(args: argparse.Namespace) -> str:
     threshold = violation_threshold()
-    quantum = build_quantum_super_vector()
-    bound = lhv_extremal_bound(quantum).maximum
     below = bell_test(threshold - 0.01)
     above = bell_test(threshold + 0.01)
     if below.violated or not above.violated:
         raise InvariantBreach("Bell verdict does not flip across the computed threshold")
     checks = _require_checks(
-        _NOISE_THRESHOLD_CHECKS, [abs(threshold * super_norm_sq(quantum) - bound)]
+        _NOISE_THRESHOLD_CHECKS,
+        [abs(threshold * super_norm_sq(QUANTUM_SUPER_VECTOR) - QUANTUM_BOUND.maximum)],
     )
     return _fill(
         _NOISE_THRESHOLD_LAYOUT,
@@ -458,8 +463,8 @@ def _cmd_teleport_fidelity(args: argparse.Namespace) -> str:
         _TELEPORT_FIDELITY_CHECKS,
         [
             abs(sum(probabilities) - 1.0),
-            max(abs(p - 0.25) for p in probabilities),
-            max(abs(f - 1.0) for f in fidelities),
+            _max_residual(abs(p - 0.25) for p in probabilities),
+            _max_residual(abs(f - 1.0) for f in fidelities),
         ],
     )
     return _fill(

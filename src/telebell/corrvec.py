@@ -84,11 +84,11 @@ def correlation_closed_form(
 
     ``sin(2 beta) sin(2 beta') (cos phi cos phi', sin phi sin phi')``.
     """
-    ss = sin(2.0 * prep.beta) * sin(2.0 * analyzer.beta_prime)
+    ss = sin(2.0 * prep.beta) * sin(2.0 * analyzer.beta)
     return np.array(
         [
-            ss * cos(prep.phi) * cos(analyzer.phi_prime),
-            ss * sin(prep.phi) * sin(analyzer.phi_prime),
+            ss * cos(prep.phi) * cos(analyzer.phi),
+            ss * sin(prep.phi) * sin(analyzer.phi),
         ]
     )
 

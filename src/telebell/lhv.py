@@ -23,6 +23,7 @@ from .corrvec import (
     ALICE_PHI_DEGREES,
     BOB_PHI_DEGREES,
     SETTING_PAIRS_DEGREES,
+    _as_super_vector,
     build_quantum_super_vector,
     super_dot,
 )
@@ -131,11 +132,7 @@ def lhv_extremal_bound(v_qm) -> ExtremalBound:
     By sign symmetry of the enumeration the minimum is the negated maximum.
     Ties resolve to the first strategy in enumeration order.
     """
-    v = np.asarray(v_qm)
-    # refused, not cast: a cast to float would drop the imaginary parts
-    if v.dtype.kind == "c":
-        raise ValueError("super-vector must be real, got a complex array")
-    v = np.asarray(v, dtype=float)
+    v = _as_super_vector(v_qm)
     if v.shape != STRATEGY_SIGNS.shape[1:]:
         raise ValueError(f"super-vector must have shape (4, 2), got {v.shape}")
     values = (STRATEGY_SIGNS * v).sum(axis=(1, 2))
@@ -172,7 +169,7 @@ class StrategyEnsemble:
             bad = next(w for w in weights if not (isfinite(w) and w >= 0.0))
             raise ValueError(f"weights must be finite and nonnegative, got {bad!r}")
         total = fsum(weights)
-        if abs(total - 1.0) > 1e-12:
+        if not (abs(total - 1.0) <= 1e-12):
             raise ValueError(f"weights sum to {total!r}, not 1")
         object.__setattr__(self, "entries", entries)
         rows = np.array([strategy.row for strategy, _ in entries], dtype=np.intp)

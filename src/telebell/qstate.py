@@ -16,7 +16,7 @@ Conventions
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import sqrt
+from math import isfinite, sqrt
 
 import numpy as np
 
@@ -92,6 +92,8 @@ class PureState:
 
     def normalize(self) -> "PureState":
         n_sq = self.norm_sq
+        if not isfinite(n_sq):
+            raise ValueError(f"cannot normalize a state whose squared norm is {n_sq!r}")
         if n_sq < PROB_FLOOR:
             raise ValueError("cannot normalize a near-zero state")
         return _trusted_state(self.amplitudes / sqrt(n_sq), self.factor_labels)

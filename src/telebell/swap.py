@@ -15,7 +15,7 @@ radians internally.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import atan2, cos, hypot, pi, sin, sqrt
+from math import atan2, cos, hypot, isfinite, pi, sin, sqrt
 from typing import NamedTuple
 
 import numpy as np
@@ -103,11 +103,16 @@ def pair_correlation(state: PureState, angle_1: float, angle_2: float) -> float:
 
 
 def chsh_on_pair(state: PureState, angles) -> float:
-    """CHSH value S = E(a,b) - E(a,b') + E(a',b) + E(a',b') from the Born rule."""
+    """CHSH value S = E(a,b) - E(a,b') + E(a',b) + E(a',b') from the Born rule.
+
+    Non-finite angles raise ``ValueError``.
+    """
     a, a_alt, b, b_alt = angles
+    if not all(map(isfinite, (a, a_alt, b, b_alt))):
+        raise ValueError("angles must be finite")
     e = _correlations(state, (a, a, a_alt, a_alt), (b, b_alt, b, b_alt)).tolist()
     s = e[0] - e[1] + e[2] + e[3]
-    if abs(s) > TSIRELSON_BOUND + 1e-12:
+    if not (abs(s) <= TSIRELSON_BOUND + 1e-12):
         raise RuntimeError(f"CHSH value {s!r} exceeds the quantum bound")
     return s
 
@@ -210,9 +215,10 @@ def max_chsh(state: PureState) -> ChshScanResult:
     """
     closed_form_value, angles = _optimal_axes(_correlation_matrix(state))
     born_value = chsh_on_pair(state, angles)
-    if max(closed_form_value, born_value) > TSIRELSON_BOUND + 1e-9:
+    bound = TSIRELSON_BOUND + 1e-9
+    if not (closed_form_value <= bound and born_value <= bound):
         raise RuntimeError("CHSH optimum exceeds the quantum bound")
-    if abs(born_value - closed_form_value) > 1e-9:
+    if not (abs(born_value - closed_form_value) <= 1e-9):
         raise RuntimeError(
             f"Born-rule CHSH value {born_value!r} misses the closed-form optimum "
             f"{closed_form_value!r}"

@@ -78,8 +78,8 @@ def _canonical_angles(beta: float, phi: float) -> tuple[float, float]:
 
 
 @dataclass(frozen=True)
-class PreparationSettings:
-    """Angles (beta, phi) of the prepared qubit-A state, in radians."""
+class _AnglePair:
+    """A (beta, phi) pair in radians, reduced to its canonical representative."""
 
     beta: float
     phi: float
@@ -90,7 +90,7 @@ class PreparationSettings:
         object.__setattr__(self, "phi", phi)
 
     @classmethod
-    def from_degrees(cls, beta_deg: float, phi_deg: float) -> "PreparationSettings":
+    def from_degrees(cls, beta_deg: float, phi_deg: float):
         return cls(radians(beta_deg), radians(phi_deg))
 
     @property
@@ -98,25 +98,15 @@ class PreparationSettings:
         return degrees(self.beta), degrees(self.phi)
 
 
-@dataclass(frozen=True)
-class AnalyzerSettings:
-    """Angles (beta', phi') of Bob's dichotomic analyzer, in radians."""
+# Two subclasses, not one class under two names: a preparation never compares
+# equal to an analyzer with the same angles, and the benchmark tracer, which
+# replaces each name with its own wrapper, needs two distinct classes.
+class PreparationSettings(_AnglePair):
+    """Angles (beta, phi) of the prepared qubit-A state, in radians."""
 
-    beta_prime: float
-    phi_prime: float
 
-    def __post_init__(self) -> None:
-        beta_prime, phi_prime = _canonical_angles(self.beta_prime, self.phi_prime)
-        object.__setattr__(self, "beta_prime", beta_prime)
-        object.__setattr__(self, "phi_prime", phi_prime)
-
-    @classmethod
-    def from_degrees(cls, beta_deg: float, phi_deg: float) -> "AnalyzerSettings":
-        return cls(radians(beta_deg), radians(phi_deg))
-
-    @property
-    def degrees(self) -> tuple[float, float]:
-        return degrees(self.beta_prime), degrees(self.phi_prime)
+class AnalyzerSettings(_AnglePair):
+    """Angles (beta', phi') of Bob's dichotomic analyzer, as ``beta`` and ``phi``, in radians."""
 
 
 def _bell_index(outcome: str) -> int:
@@ -173,19 +163,13 @@ class JointDistribution:
     def probability(self, bell: str, bob: str) -> float:
         return float(self.table[_bell_index(bell), _bob_index(bob)])
 
-    def items(self):
-        """Yield ((bell, bob), probability) in the fixed outcome order."""
-        for i, bell in enumerate(BELL_OUTCOMES):
-            for j, bob in enumerate(BOB_OUTCOMES):
-                yield (bell, bob), float(self.table[i, j])
-
     def validate(self, tol: float = 1e-12) -> "JointDistribution":
-        if self._largest > 1.0 + tol:
+        if not (self._largest <= 1.0 + tol):
             raise ValueError("probability above 1")
         total = sum(self._marginal)
-        if abs(total - 1.0) > tol:
+        if not (abs(total - 1.0) <= tol):
             raise ValueError(f"probabilities sum to {total!r}, not 1")
-        if max(abs(m - 0.25) for m in self._marginal) > tol:
+        if not all(abs(m - 0.25) <= tol for m in self._marginal):
             raise ValueError(f"Bell-outcome marginal {self._marginal!r} is not flat 1/4")
         return self
 
@@ -241,17 +225,17 @@ def dichotomic_basis(beta: float, phi: float, label: str) -> ProjectiveBasis:
 
 def bob_basis(analyzer: AnalyzerSettings) -> ProjectiveBasis:
     """Bob's analyzer basis on qubit C."""
-    return dichotomic_basis(analyzer.beta_prime, analyzer.phi_prime, "C")
+    return dichotomic_basis(analyzer.beta, analyzer.phi, "C")
 
 
 def joint_distribution_closed_form(
     prep: PreparationSettings, analyzer: AnalyzerSettings
 ) -> JointDistribution:
     """The eight joint probabilities evaluated from their closed form."""
-    cc = cos(2.0 * prep.beta) * cos(2.0 * analyzer.beta_prime)
-    ss = sin(2.0 * prep.beta) * sin(2.0 * analyzer.beta_prime)
-    minus = cos(prep.phi - analyzer.phi_prime)
-    plus = cos(prep.phi + analyzer.phi_prime)
+    cc = cos(2.0 * prep.beta) * cos(2.0 * analyzer.beta)
+    ss = sin(2.0 * prep.beta) * sin(2.0 * analyzer.beta)
+    minus = cos(prep.phi - analyzer.phi)
+    plus = cos(prep.phi + analyzer.phi)
     p_zero = (
         (1.0 - cc + ss * minus) / 8.0,
         (1.0 + cc + ss * plus) / 8.0,

@@ -74,10 +74,10 @@ def basis_matrix(states, outcome_labels):
 
 def closed_form_table(prep, analyzer):
     """The closed-form table with ``p_zero`` built as an array and iterated as numpy scalars."""
-    cc = math.cos(2.0 * prep.beta) * math.cos(2.0 * analyzer.beta_prime)
-    ss = math.sin(2.0 * prep.beta) * math.sin(2.0 * analyzer.beta_prime)
-    minus = math.cos(prep.phi - analyzer.phi_prime)
-    plus = math.cos(prep.phi + analyzer.phi_prime)
+    cc = math.cos(2.0 * prep.beta) * math.cos(2.0 * analyzer.beta)
+    ss = math.sin(2.0 * prep.beta) * math.sin(2.0 * analyzer.beta)
+    minus = math.cos(prep.phi - analyzer.phi)
+    plus = math.cos(prep.phi + analyzer.phi)
     p_zero = np.array(
         [
             (1.0 - cc + ss * minus) / 8.0,
@@ -93,7 +93,7 @@ def closed_form_table(prep, analyzer):
 def bob_rows(analyzer):
     """Bob's analyzer states as rows, each checked by ``pure_state_amplitudes``
     and the pair by ``basis_matrix``: the ``matrix`` that ``bob_basis`` must give."""
-    beta, phi = analyzer.beta_prime, analyzer.phi_prime
+    beta, phi = analyzer.beta, analyzer.phi
     phase = np.exp(1j * phi)
     states = tuple(
         SimpleNamespace(amplitudes=pure_state_amplitudes(amplitudes, ("C",)), factor_labels=("C",))

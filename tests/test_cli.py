@@ -2,6 +2,7 @@
 
 import contextlib
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -406,6 +407,54 @@ class TestExitCodes:
         assert code == 3
         assert out == ""
         assert "threshold_equation_residual = nan" in err
+
+    # The stand-ins below put a NaN last among the values that a check
+    # residual reduces over: Python's max keeps a NaN only in first place.
+
+    def test_last_nan_oracle_residual_exits_3(self, capsys, monkeypatch):
+        simulated = cli.joint_distribution_simulated
+
+        def nan_last(prep, analyzer):
+            table = simulated(prep, analyzer).table.copy()
+            table[-1, -1] = math.nan
+            return SimpleNamespace(table=table)
+
+        monkeypatch.setattr(cli, "joint_distribution_simulated", nan_last)
+        code, out, err = run_cli(["probs"], capsys)
+        assert (code, out) == (3, "")
+        assert "oracle_deviation = nan" in err
+
+    def test_last_nan_purity_residual_exits_3(self, capsys, monkeypatch):
+        purities = iter([0.5, 0.5, 0.5, math.nan])
+        monkeypatch.setattr(cli, "reduced_purity", lambda state, label: next(purities))
+        code, out, err = run_cli(["swap"], capsys)
+        assert (code, out) == (3, "")
+        assert "purity_deviation = nan" in err
+
+    def test_last_nan_chsh_residual_exits_3(self, capsys, monkeypatch):
+        run_swap = cli.run_swap
+
+        def nan_last():
+            report = run_swap()
+            chsh = {**report.chsh_values, BELL_OUTCOMES[-1]: math.nan}
+            return dataclasses.replace(report, chsh_values=chsh)
+
+        monkeypatch.setattr(cli, "run_swap", nan_last)
+        code, out, err = run_cli(["swap"], capsys)
+        assert (code, out) == (3, "")
+        assert "tsirelson_excess = nan" in err
+
+    def test_last_nan_fidelity_residual_exits_3(self, capsys, monkeypatch):
+        run_full_teleportation = cli.run_full_teleportation
+
+        def nan_last(prep):
+            *results, (outcome, p, _) = run_full_teleportation(prep)
+            return [*results, (outcome, p, math.nan)]
+
+        monkeypatch.setattr(cli, "run_full_teleportation", nan_last)
+        code, out, err = run_cli(["teleport-fidelity"], capsys)
+        assert (code, out) == (3, "")
+        assert "fidelity_deviation = nan" in err
 
 
 SUBCOMMANDS = {

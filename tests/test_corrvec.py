@@ -34,11 +34,11 @@ ANGLES = st.floats(-10.0, 10.0)
 
 def numpy_correlation_closed_form(prep, analyzer):
     """The closed-form correlation vector evaluated with numpy's ufuncs."""
-    ss = np.sin(2.0 * prep.beta) * np.sin(2.0 * analyzer.beta_prime)
+    ss = np.sin(2.0 * prep.beta) * np.sin(2.0 * analyzer.beta)
     return np.array(
         [
-            ss * np.cos(prep.phi) * np.cos(analyzer.phi_prime),
-            ss * np.sin(prep.phi) * np.sin(analyzer.phi_prime),
+            ss * np.cos(prep.phi) * np.cos(analyzer.phi),
+            ss * np.sin(prep.phi) * np.sin(analyzer.phi),
         ]
     )
 

@@ -68,6 +68,12 @@ class TestPureState:
         with pytest.raises(ValueError):
             PureState(np.zeros(2), ("A",)).normalize()
 
+    def test_normalize_overflowed_norm(self):
+        # finite amplitudes whose squared norm overflows to inf, which would
+        # divide every amplitude to zero
+        with pytest.raises(ValueError, match="squared norm is inf"):
+            PureState(np.array([1e200, 0.0]), ("A",)).normalize()
+
     def test_amplitudes_read_only(self):
         state = ket("0", ("A",))
         with pytest.raises(ValueError):

@@ -263,6 +263,14 @@ class TestChshOnPair:
                 angles = tuple(rng.uniform(0, math.pi, size=4))
                 assert abs(chsh_on_pair(state, angles)) <= TSIRELSON_BOUND + 1e-9
 
+    @pytest.mark.parametrize("position", range(4))
+    @pytest.mark.parametrize("angle", [math.nan, math.inf, -math.inf])
+    def test_non_finite_angle_rejected(self, position, angle):
+        angles = [0.0, math.pi / 4, math.pi / 8, 3 * math.pi / 8]
+        angles[position] = angle
+        with pytest.raises(ValueError, match="finite"):
+            chsh_on_pair(analytic_post_state("00"), angles)
+
 
 class TestBatchedCorrelations:
     """One batched Born-rule call per CHSH value and per correlation matrix."""
@@ -386,6 +394,20 @@ class TestMaxChsh:
 
         with mock.patch.object(np.linalg, "svd", negated_svd):
             assert _optimal_axes(m) == expected
+
+    def test_nan_born_value_rejected(self):
+        # a NaN passes every `value > bound` test; the checks must refuse it
+        with mock.patch("telebell.swap.chsh_on_pair", lambda state, angles: math.nan):
+            with pytest.raises(RuntimeError, match="quantum bound"):
+                max_chsh(analytic_post_state("00"))
+
+    def test_nan_closed_form_value_rejected(self):
+        def nan_optimum(m):
+            return math.nan, _optimal_axes(m)[1]
+
+        with mock.patch("telebell.swap._optimal_axes", nan_optimum):
+            with pytest.raises(RuntimeError, match="quantum bound"):
+                max_chsh(analytic_post_state("00"))
 
     def test_nan_orthogonality_residual_rejected(self):
         # an SVD that reports equal, finite singular values for a matrix

@@ -1,6 +1,8 @@
 """Tests for the channel-cut teleportation scenario."""
 
+import dataclasses
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -16,6 +18,7 @@ from telebell.qstate import (
     measure_probabilities,
     partial_inner,
 )
+from telebell.swap import chsh_on_pair
 from telebell.teleport import (
     BELL_OUTCOMES,
     BOB_OUTCOMES,
@@ -85,13 +88,17 @@ EQUIVALENT_ANGLES = (
 )
 
 
+SETTINGS_CLASSES = (PreparationSettings, AnalyzerSettings)
+
+
 class TestSettings:
     def test_canonical_ranges(self):
         rng = np.random.default_rng(41)
-        for _ in range(200):
-            prep = PreparationSettings(rng.uniform(-10, 10), rng.uniform(-10, 10))
-            assert 0.0 <= prep.beta <= np.pi / 2
-            assert -np.pi < prep.phi <= np.pi
+        for cls in SETTINGS_CLASSES:
+            for _ in range(200):
+                pair = cls(rng.uniform(-10, 10), rng.uniform(-10, 10))
+                assert 0.0 <= pair.beta <= np.pi / 2
+                assert -np.pi < pair.phi <= np.pi
 
     def test_reduction_preserves_distribution(self):
         rng = np.random.default_rng(43)
@@ -105,19 +112,77 @@ class TestSettings:
             assert np.max(np.abs(reduced.table - raw)) <= 1e-12
 
     def test_in_range_angles_unchanged(self):
-        prep = PreparationSettings(0.3, -1.2)
-        assert prep.beta == 0.3
-        assert prep.phi == -1.2
+        for cls in SETTINGS_CLASSES:
+            pair = cls(0.3, -1.2)
+            assert pair.beta == 0.3
+            assert pair.phi == -1.2
 
     def test_non_finite_rejected(self):
-        with pytest.raises(ValueError):
-            PreparationSettings(np.nan, 0.0)
-        with pytest.raises(ValueError):
-            AnalyzerSettings(0.0, np.inf)
+        for cls in SETTINGS_CLASSES:
+            for angles in ((np.nan, 0.0), (0.0, np.inf), (-np.inf, 0.0)):
+                with pytest.raises(ValueError):
+                    cls(*angles)
 
     def test_degree_round_trip(self):
-        prep = PreparationSettings.from_degrees(30.0, 77.0)
-        assert prep.degrees == pytest.approx((30.0, 77.0))
+        for cls in SETTINGS_CLASSES:
+            pair = cls.from_degrees(30.0, 77.0)
+            assert type(pair) is cls
+            assert pair.degrees == pytest.approx((30.0, 77.0))
+
+    def test_classes_are_distinct(self):
+        # not one class under two names: the benchmark tracer replaces each
+        # name with its own wrapper, which an alias would share
+        assert PreparationSettings is not AnalyzerSettings
+
+    def test_equal_angles_compare_unequal_across_classes(self):
+        assert PreparationSettings(0.3, -1.2) != AnalyzerSettings(0.3, -1.2)
+        assert PreparationSettings(0.3, -1.2) == PreparationSettings(0.3, -1.2)
+        assert AnalyzerSettings(0.3, -1.2) == AnalyzerSettings(0.3, -1.2)
+
+    @pytest.mark.parametrize("cls", SETTINGS_CLASSES)
+    @pytest.mark.parametrize("name", ["beta", "phi"])
+    def test_frozen(self, cls, name):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(cls(0.3, -1.2), name, 0.0)
+
+
+# Non-finite angles, finite ones whose squares overflow, and any float.
+EXTREME_ANGLES = (
+    st.sampled_from([math.nan, math.inf, -math.inf, 1e200, -1e300, sys.float_info.max])
+    | st.floats()
+    | ANGLES
+)
+
+
+_EPR_DC = PureState(np.array([1.0, 0.0, 0.0, 1.0]) / math.sqrt(2.0), ("D", "C"))
+# Every entry point that takes angles, as a function of four angles.
+ANGLE_ENTRY_POINTS = {
+    **{
+        cls.__name__: lambda a, cls=cls: dataclasses.astuple(cls(a[0], a[1]))
+        for cls in SETTINGS_CLASSES
+    },
+    **{
+        f"{cls.__name__}.from_degrees": lambda a, cls=cls: cls.from_degrees(a[2], a[3]).degrees
+        for cls in SETTINGS_CLASSES
+    },
+    "dichotomic_basis": lambda a: dichotomic_basis(a[0], a[1], "C").matrix,
+    "chsh_on_pair": lambda a: chsh_on_pair(_EPR_DC, a),
+}
+
+
+class TestExtremeAngles:
+    @settings(derandomize=True, max_examples=300)
+    @given(st.tuples(*[EXTREME_ANGLES] * 4))
+    def test_refused_or_finite(self, angles):
+        # pytest turns RuntimeWarning into an error; each entry point passes
+        # only by refusing its input or by returning finite values
+        with np.errstate(all="ignore"):
+            for name, call in ANGLE_ENTRY_POINTS.items():
+                try:
+                    result = call(angles)
+                except ValueError:
+                    continue
+                assert np.isfinite(result).all(), name
 
 
 class TestInitialState:
@@ -240,7 +305,7 @@ class TestClosedForm:
             analyzer = AnalyzerSettings(*shift(beta_prime, phi_prime))
             table = joint_distribution_closed_form(prep, analyzer).table
             # the column_stack reference, evaluated at the canonical angles
-            raw = closed_form_raw(prep.beta, prep.phi, analyzer.beta_prime, analyzer.phi_prime)
+            raw = closed_form_raw(prep.beta, prep.phi, analyzer.beta, analyzer.phi)
             assert same_bits(table, JointDistribution(raw).table)
 
     @settings(derandomize=True, max_examples=300)
