@@ -473,9 +473,35 @@ def _cmd_teleport_fidelity(args: argparse.Namespace) -> str:
     )
 
 
-def _build_parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    """The top-level parser and its subcommand parsers, by subcommand name."""
-    parser = argparse.ArgumentParser(
+class _UsageCachingParser(argparse.ArgumentParser):
+    """An ``ArgumentParser`` that renders its usage text once per formatter width and colors.
+
+    argparse renders the usage again on every ``error``, which made an
+    invalid request cost as much as a full verdict.  Once a parser is built,
+    its usage text depends only on the formatter's width, taken from the
+    terminal size, and, on Pythons whose formatters color (3.14+), on the
+    color theme it chose; so the text is kept per such pair.  Only for
+    parsers that no one changes after they are built.
+    """
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self._usage_texts: dict = {}
+
+    def format_usage(self) -> str:
+        formatter = self._get_formatter()
+        key = (formatter._width, getattr(formatter, "_theme", None))
+        text = self._usage_texts.get(key)
+        if text is None:
+            text = self._usage_texts[key] = super().format_usage()
+        return text
+
+
+def _build_parsers(
+    parser_class: type[argparse.ArgumentParser] = argparse.ArgumentParser,
+) -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser and its subcommand parsers, all of ``parser_class``, by subcommand name."""
+    parser = parser_class(
         prog="telebell",
         description="Bell analysis of the channel-cut teleportation protocol.",
     )
@@ -587,9 +613,10 @@ def _option_walk(name: str, parser: argparse.ArgumentParser):
 def _shared_parsers():
     """The parsers ``main`` uses and each subcommand's option walk, by name.
 
-    Built on first use, then kept for the process.
+    Built on first use, then kept for the process, so their usage texts are
+    rendered once.
     """
-    parser, commands = _build_parsers()
+    parser, commands = _build_parsers(_UsageCachingParser)
     return parser, {name: _option_walk(name, command) for name, command in commands.items()}
 
 

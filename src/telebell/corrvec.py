@@ -9,7 +9,7 @@ standard setting pairs gives the quantum super-vector whose squared norm is 2.
 
 from __future__ import annotations
 
-from math import cos, sin
+from math import cos, isfinite, sin
 
 import numpy as np
 
@@ -125,16 +125,28 @@ def _as_super_vector(v) -> np.ndarray:
     return arr
 
 
+def _finite_sum(products: np.ndarray) -> float:
+    # checked once on the sum, not per entry: a non-finite entry or an
+    # overflowing product makes the sum non-finite too
+    total = float(products.sum())
+    if not isfinite(total):
+        raise ValueError(f"super-vector product is not finite: {total!r}")
+    return total
+
+
 def super_norm_sq(v) -> float:
-    """Sum over entries of the squared 2-vector norms."""
+    """Sum over entries of the squared 2-vector norms; a non-finite sum raises ValueError."""
     arr = _as_super_vector(v)
-    return float((arr * arr).sum())
+    return _finite_sum(arr * arr)
 
 
 def super_dot(a, b) -> float:
-    """Entrywise sum of 2-vector dot products, compatible with the norm."""
+    """Entrywise sum of 2-vector dot products, compatible with the norm.
+
+    A non-finite sum raises ValueError.
+    """
     x = _as_super_vector(a)
     y = _as_super_vector(b)
     if x.shape != y.shape:
         raise ValueError(f"super-vector shapes differ: {x.shape} vs {y.shape}")
-    return float((x * y).sum())
+    return _finite_sum(x * y)

@@ -130,12 +130,16 @@ def lhv_extremal_bound(v_qm) -> ExtremalBound:
     """Exhaustive maximum of the scalar product over all 64 strategies.
 
     By sign symmetry of the enumeration the minimum is the negated maximum.
-    Ties resolve to the first strategy in enumeration order.
+    Ties resolve to the first strategy in enumeration order.  A non-finite
+    super-vector, or one whose products overflow, raises ValueError.
     """
     v = _as_super_vector(v_qm)
     if v.shape != STRATEGY_SIGNS.shape[1:]:
         raise ValueError(f"super-vector must have shape (4, 2), got {v.shape}")
     values = (STRATEGY_SIGNS * v).sum(axis=(1, 2))
+    # a non-finite entry makes every strategy's value non-finite
+    if not np.isfinite(values).all():
+        raise ValueError("super-vector products must be finite")
     best = int(values.argmax())
     return ExtremalBound(float(values[best]), _STRATEGIES[best])
 

@@ -170,6 +170,29 @@ class ProjectiveBasis:
         return self.states[0].factor_labels
 
 
+def _trusted_basis(
+    states: tuple[PureState, ...], outcome_labels: tuple[str, ...]
+) -> ProjectiveBasis:
+    """Wrap states that form an orthonormal basis by construction, without re-checking them.
+
+    The basis counterpart of ``_trusted_state``, for a tuple of states on one
+    subsystem, as many as its dimension, whose orthonormality follows from
+    how they were built, with one distinct label each.  Stacks ``matrix``
+    and ``_matrix_conj`` as the public constructor does, with the same bits,
+    but runs no Gram product and no label or dimension check.
+    """
+    basis = object.__new__(ProjectiveBasis)
+    matrix = np.array([s.amplitudes for s in states])
+    matrix_conj = matrix.conj()
+    matrix.setflags(write=False)
+    matrix_conj.setflags(write=False)
+    object.__setattr__(basis, "states", states)
+    object.__setattr__(basis, "outcome_labels", outcome_labels)
+    object.__setattr__(basis, "matrix", matrix)
+    object.__setattr__(basis, "_matrix_conj", matrix_conj)
+    return basis
+
+
 def tensor_product(a: PureState, b: PureState) -> PureState:
     """Kronecker composite of two states with concatenated labels."""
     overlap = set(a.factor_labels) & set(b.factor_labels)

@@ -886,10 +886,10 @@ def reference_main(argv) -> int:
     return 0
 
 
-def outcome(entry, argv):
-    """Exit code, stdout and stderr of one call, with help text laid out for 80 columns."""
+def outcome(entry, argv, columns="80"):
+    """Exit code, stdout and stderr of one call, with help text laid out for ``columns``."""
     out, err = io.StringIO(), io.StringIO()
-    with mock.patch.dict(os.environ, {"COLUMNS": "80"}):
+    with mock.patch.dict(os.environ, {"COLUMNS": columns}):
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             try:
                 code = entry(list(argv))
@@ -933,6 +933,47 @@ class TestDispatch:
         if walked is not None:
             full = cli.build_parser().parse_args(argv)
             assert by_repr(vars(walked)) == by_repr(vars(full))
+
+
+# The benchmark's invalid requests (perfbench/inputs.py), each of which exits 2.
+INVALID_REQUESTS = (
+    ["bell-test", "--visibility", "1.5"],
+    ["bell-test", "--visibility", "-0.25"],
+    ["bell-test", "--visibility", "nan"],
+    ["bell-test", "--visibility", "high"],
+    ["probs", "--beta", "abc"],
+    ["teleport-fidelity", "--phi", "1e"],
+    ["scan", "--grid", "phi=10:0:5"],
+    ["scan", "--grid", "phi=0:90:0"],
+    ["scan", "--grid", "gamma=0:90:5"],
+    ["scan", "--grid", "phi=0:90"],
+    ["scan"]
+    + [
+        arg
+        for axis in ("beta", "phi", "beta-prime", "phi-prime")
+        for arg in ("--grid", f"{axis}=0:359:0.5")
+    ],
+    ["swap", "--verbose"],
+    ["entangle"],
+)
+
+
+class TestUsageCache:
+    """``main``'s parsers keep their usage texts; what they print must stay argparse's."""
+
+    @pytest.mark.parametrize("columns", ["40", "80", "200"])
+    def test_invalid_requests_match_uncached_parser(self, columns):
+        for argv in INVALID_REQUESTS:
+            expected = outcome(reference_main, argv, columns)
+            assert expected[0] == 2, argv
+            # the first call may render the usage, the second reads it back
+            for _ in range(2):
+                assert outcome(cli.main, argv, columns) == expected, argv
+
+    def test_usage_depends_on_width(self):
+        # so a cache that ignored the width would print the wrong text
+        argv = ["scan", "--grid", "phi=0:90"]
+        assert outcome(reference_main, argv, "40") != outcome(reference_main, argv, "200")
 
 
 class TestClosedStdout:

@@ -181,6 +181,47 @@ class TestExtremalBound:
         assert super_dot(quantum, strategy_super_vector(bound.argmax)) == bound.maximum
 
 
+# Super-vectors with non-finite entries, finite ones whose products
+# overflow, and any float.
+EXTREME_ENTRIES = (
+    st.sampled_from([math.nan, math.inf, -math.inf, 1e200, -1e300, 1.7976931348623157e308])
+    | st.floats()
+)
+# Every super-vector entry point, as a function of one (4, 2) super-vector.
+SUPER_VECTOR_ENTRY_POINTS = {
+    "super_dot": lambda v: super_dot(build_quantum_super_vector(), v),
+    "super_norm_sq": super_norm_sq,
+    "lhv_extremal_bound": lambda v: lhv_extremal_bound(v).maximum,
+}
+
+
+class TestExtremeSuperVectors:
+    @pytest.mark.parametrize(
+        "name, v",
+        [
+            ("lhv_extremal_bound", np.full((4, 2), math.nan)),
+            ("super_dot", np.array([[math.inf, 0.0]] + [[0.0, 0.0]] * 3)),
+            ("super_norm_sq", np.array([[1e200, 0.0]] * 4)),
+        ],
+    )
+    def test_non_finite_result_refused(self, name, v):
+        with np.errstate(all="ignore"), pytest.raises(ValueError, match="finite"):
+            SUPER_VECTOR_ENTRY_POINTS[name](v)
+
+    @settings(derandomize=True, max_examples=300)
+    @given(arrays(float, (4, 2), elements=EXTREME_ENTRIES))
+    def test_refused_or_finite(self, v):
+        # pytest turns RuntimeWarning into an error; each entry point passes
+        # only by refusing its input or by returning a finite value
+        with np.errstate(all="ignore"):
+            for name, call in SUPER_VECTOR_ENTRY_POINTS.items():
+                try:
+                    result = call(v)
+                except ValueError:
+                    continue
+                assert math.isfinite(result), name
+
+
 # Random ensembles: distinct strategy indices with positive raw weights, and
 # whether to take the enumerated strategy or one built fresh from its signs.
 ENSEMBLE_ENTRIES = st.lists(

@@ -11,7 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from telebell.qstate import (
+    ProjectiveBasis,
     PureState,
+    _trusted_basis,
     apply_local_unitary,
     basis_coefficients,
     inner_product,
@@ -271,6 +273,40 @@ class TestBobBasis:
             for beta, phi in ((bad, 0.3), (0.3, bad), (bad, bad)):
                 with pytest.raises(ValueError, match="finite"):
                     dichotomic_basis(beta, phi, "C")
+
+
+# Every finite double, extremes and subnormals included.
+FINITE_ANGLES = (
+    st.sampled_from(
+        [0.0, 5e-324, -5e-324, 2.2e-308, 1e16, -1e300, sys.float_info.max, -sys.float_info.max]
+    )
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | ANGLES
+)
+
+
+class TestTrustedAnalyzerBasis:
+    # dichotomic_basis builds its basis without ProjectiveBasis's Gram check;
+    # these pin why that check could not fail and that nothing else changed
+
+    @settings(derandomize=True, max_examples=500)
+    @given(FINITE_ANGLES, FINITE_ANGLES)
+    def test_orthonormal_by_construction(self, beta, phi):
+        matrix = dichotomic_basis(beta, phi, "C").matrix
+        assert np.abs(matrix.conj() @ matrix.T - np.eye(2)).max() <= 1e-15
+
+    @settings(derandomize=True, max_examples=300)
+    @given(FINITE_ANGLES, FINITE_ANGLES)
+    def test_matches_checked_basis_bitwise(self, beta, phi):
+        states, labels = dichotomic_basis(beta, phi, "C").states, BOB_OUTCOMES
+        trusted, checked = _trusted_basis(states, labels), ProjectiveBasis(states, labels)
+        assert same_bits(trusted.matrix, checked.matrix)
+        assert same_bits(trusted._matrix_conj, checked._matrix_conj)
+        assert trusted.states == checked.states
+        assert trusted.outcome_labels == checked.outcome_labels
+        for array in (trusted.matrix, trusted._matrix_conj):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0, 0] = 0.0
 
 
 class TestClosedForm:
