@@ -9,18 +9,14 @@ codes: 0 success, 2 usage error, 3 internal invariant breach.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
-import io
 import itertools
+import json
 import math
 import os
 import re
 import sys
-from json.encoder import encode_basestring_ascii
 from typing import Callable
-
-import numpy as np
 
 from .corrvec import correlation_closed_form, super_norm_sq
 from .lhv import QUANTUM_BOUND, QUANTUM_SUPER_VECTOR, STRATEGY_SIGNS, bell_test, check_visibility
@@ -88,62 +84,37 @@ def _json_float(value: float) -> str:
     return "Infinity" if rounded > 0.0 else "-Infinity"
 
 
-# A layout's placeholder leaf.  ``_json`` renders it as a raw NUL, which
-# ``encode_basestring_ascii`` never emits, so the rendered text splits there.
-_SLOT = object()
+# A layout's placeholder leaf.  ``json.dumps`` writes it as ``"\u0000"``,
+# which no other leaf of a layout's template renders to.
+_SLOT = "\0"
 
 
-def _json(obj, indent: str) -> str:
-    """``json.dumps(obj, indent=2)`` with every float fixed at 12 significant digits."""
-    if isinstance(obj, float):
-        return _json_float(obj)
-    if isinstance(obj, str):
-        return encode_basestring_ascii(obj)
-    inner = indent + "  "
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        items = [f"{inner}{encode_basestring_ascii(k)}: {_json(v, inner)}" for k, v in obj.items()]
-        return "{\n" + ",\n".join(items) + "\n" + indent + "}"
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        return "[\n" + ",\n".join(inner + _json(v, inner) for v in obj) + "\n" + indent + "]"
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if isinstance(obj, int):
-        return int.__repr__(obj)
-    if isinstance(obj, np.floating):
-        return _json_float(float(obj))
-    if obj is None:
-        return "null"
-    if obj is _SLOT:
-        return "\0"
-    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+def _layout(template: dict) -> tuple[str, ...]:
+    """``json.dumps(template, indent=2)`` cut at each ``_SLOT`` leaf: the text around its values.
 
-
-def _render_json(payload: dict) -> str:
-    return _json(payload, "") + "\n"
-
-
-def _layout(payload: dict) -> tuple[str, ...]:
-    """``_render_json(payload)`` cut at each ``_SLOT`` leaf: the text around its values.
-
-    Each JSON subcommand builds its layout once, at import, and ``_fill``
-    renders one request's values into it.
+    Each JSON subcommand builds its layout once, at import, from a template
+    with no floats, and ``_fill`` renders one request's values into it.
     """
-    return tuple(_render_json(payload).split("\0"))
+    return tuple((json.dumps(template, indent=2) + "\n").split(json.dumps(_SLOT)))
 
 
 def _fill(layout: tuple[str, ...], values) -> str:
     """The layout's text with ``values`` rendered into its slots, in order.
 
-    Each value renders as ``_json`` would render it in place of its slot;
-    a count that differs from the layout's raises ValueError.
+    A float (numpy's float64 included) renders through ``_json_float``, a
+    bool as ``true`` or ``false`` and an int in full; any other value raises
+    TypeError, and a count that differs from the layout's ValueError.
     """
     parts = [layout[0]]
     for value, text in zip(values, layout[1:], strict=True):
-        parts.append(_json_float(value) if type(value) is float else _json(value, ""))
+        if isinstance(value, float):
+            parts.append(_json_float(value))
+        elif isinstance(value, bool):
+            parts.append("true" if value else "false")
+        elif isinstance(value, int):
+            parts.append(int.__repr__(value))
+        else:
+            raise TypeError(f"cannot fill a slot with a {type(value).__name__}")
         parts.append(text)
     return "".join(parts)
 
@@ -263,14 +234,10 @@ def _cmd_probs(args: argparse.Namespace) -> str:
         ],
     )
     if args.format == "csv":
-        buffer = io.StringIO()
-        writer = csv.writer(buffer, lineterminator="\n")
-        writer.writerow(["bell", "bob", "probability"])
-        writer.writerows(
-            [bell, bob, _fmt(p)]
-            for (bell, bob), p in zip(itertools.product(BELL_OUTCOMES, BOB_OUTCOMES), entries)
-        )
-        return buffer.getvalue()
+        lines = ["bell,bob,probability\n"]
+        for (bell, bob), p in zip(itertools.product(BELL_OUTCOMES, BOB_OUTCOMES), entries):
+            lines.append(",".join((bell, bob, _fmt(p))) + "\n")
+        return "".join(lines)
     return _fill(
         _PROBS_LAYOUT, (args.beta, args.phi, args.beta_prime, args.phi_prime, *entries, *checks)
     )
@@ -341,17 +308,16 @@ def _cmd_scan(args: argparse.Namespace) -> str:
         raise UsageError(f"grid of {rows} rows exceeds the {MAX_SCAN_ROWS} row limit")
     for axis, (start, step, count) in specs.items():
         axes[axis] = [start + i * step for i in range(count)]
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(["beta", "phi", "beta_prime", "phi_prime", "E_x", "E_y"])
+    lines = ["beta,phi,beta_prime,phi_prime,E_x,E_y\n"]
     for beta, phi, beta_prime, phi_prime in itertools.product(
         axes["beta"], axes["phi"], axes["beta-prime"], axes["phi-prime"]
     ):
         prep = PreparationSettings.from_degrees(beta, phi)
         analyzer = AnalyzerSettings.from_degrees(beta_prime, phi_prime)
         e = correlation_closed_form(prep, analyzer)
-        writer.writerow([_fmt(v) for v in (beta, phi, beta_prime, phi_prime, e[0], e[1])])
-    return buffer.getvalue()
+        row = (beta, phi, beta_prime, phi_prime, e[0], e[1])
+        lines.append(",".join([_fmt(v) for v in row]) + "\n")
+    return "".join(lines)
 
 
 _SWAP_CHECKS = (
@@ -447,8 +413,9 @@ _TELEPORT_FIDELITY_LAYOUT = _layout(
         "schema": SCHEMA_VERSION,
         "command": "teleport_fidelity",
         "settings": dict.fromkeys(("beta_deg", "phi_deg"), _SLOT),
-        "outcomes": [dict.fromkeys(("bell", "probability", "fidelity"), _SLOT)]
-        * len(BELL_OUTCOMES),
+        "outcomes": [
+            {"bell": c, **dict.fromkeys(("probability", "fidelity"), _SLOT)} for c in BELL_OUTCOMES
+        ],
         "checks": dict.fromkeys(_TELEPORT_FIDELITY_CHECKS, _SLOT),
     }
 )
@@ -469,7 +436,7 @@ def _cmd_teleport_fidelity(args: argparse.Namespace) -> str:
     )
     return _fill(
         _TELEPORT_FIDELITY_LAYOUT,
-        (args.beta, args.phi, *itertools.chain.from_iterable(results), *checks),
+        (args.beta, args.phi, *(v for _, p, f in results for v in (p, f)), *checks),
     )
 
 

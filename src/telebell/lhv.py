@@ -12,9 +12,8 @@ the channel-cut scenario.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
-from math import fsum, isfinite
+from math import fsum, inf, isfinite
 from typing import NamedTuple
 
 import numpy as np
@@ -29,9 +28,6 @@ from .corrvec import (
 )
 
 VIOLATION_TOL = 1e-12
-
-_SIGNS = (-1, 1)
-_VECTOR_CHOICES = ((-1, -1), (-1, 1), (1, -1), (1, 1))
 
 __all__ = [
     "VIOLATION_TOL",
@@ -103,15 +99,17 @@ def strategy_super_vector(strategy: DeterministicStrategy) -> np.ndarray:
     return np.stack(rows)
 
 
-# The 64 strategies in enumeration order and their super-vectors stacked
-# into one (64, 4, 2) sign tensor.
+# Strategy i answers (bob -45, bob +45, alice 0, alice 90) with the signs of
+# i's six binary digits, most significant first.  The (64, 4, 2) sign tensor
+# pairs them as SETTING_PAIRS_DEGREES does: (0, -45), (0, 45), (90, -45), (90, 45).
+_ANSWERS = 2 * ((np.arange(64)[:, None] >> np.arange(5, -1, -1)) & 1) - 1
 _STRATEGIES = tuple(
-    DeterministicStrategy(bob=(bob_minus, bob_plus), alice=(alice_0, alice_90))
-    for bob_minus, bob_plus, alice_0, alice_90 in itertools.product(
-        _SIGNS, _SIGNS, _VECTOR_CHOICES, _VECTOR_CHOICES
-    )
+    DeterministicStrategy(bob=(b0, b1), alice=((a0, a1), (a2, a3)))
+    for b0, b1, a0, a1, a2, a3 in _ANSWERS.tolist()  # Python ints, as the CLI prints them
 )
-STRATEGY_SIGNS = np.stack([strategy_super_vector(s) for s in _STRATEGIES])
+STRATEGY_SIGNS = (
+    _ANSWERS[:, (0, 1, 0, 1), None] * _ANSWERS[:, ((2, 3), (2, 3), (4, 5), (4, 5))]
+).astype(float, order="C")
 STRATEGY_SIGNS.setflags(write=False)
 _FLAT_SIGNS = STRATEGY_SIGNS.reshape(len(_STRATEGIES), -1)
 
@@ -172,7 +170,10 @@ class StrategyEnsemble:
         if not (all(map(isfinite, weights)) and min(weights) >= 0.0):
             bad = next(w for w in weights if not (isfinite(w) and w >= 0.0))
             raise ValueError(f"weights must be finite and nonnegative, got {bad!r}")
-        total = fsum(weights)
+        try:
+            total = fsum(weights)
+        except OverflowError:  # finite weights whose partial sums overflow
+            total = inf
         if not (abs(total - 1.0) <= 1e-12):
             raise ValueError(f"weights sum to {total!r}, not 1")
         object.__setattr__(self, "entries", entries)

@@ -153,44 +153,42 @@ class ProjectiveBasis:
             raise ValueError(f"basis must span the subspace: need {dim} states, got {len(states)}")
         if len(labels) != len(states) or len(set(labels)) != len(labels):
             raise ValueError("need one distinct outcome label per basis state")
-        matrix = np.array([s.amplitudes for s in states])
-        matrix_conj = matrix.conj()
+        _set_basis_fields(self, states, labels)
         # written so that a NaN residual (an overflowed Gram entry) fails too
-        if not (np.abs(matrix_conj @ matrix.T - _IDENTITIES[dim]).max() <= ATOL):
+        if not (np.abs(self._matrix_conj @ self.matrix.T - _IDENTITIES[dim]).max() <= ATOL):
             raise ValueError("basis states are not orthonormal within tolerance")
-        matrix.setflags(write=False)
-        matrix_conj.setflags(write=False)
-        object.__setattr__(self, "states", states)
-        object.__setattr__(self, "outcome_labels", labels)
-        object.__setattr__(self, "matrix", matrix)
-        object.__setattr__(self, "_matrix_conj", matrix_conj)
 
     @property
     def subsystem_labels(self) -> tuple[str, ...]:
         return self.states[0].factor_labels
 
 
-def _trusted_basis(
-    states: tuple[PureState, ...], outcome_labels: tuple[str, ...]
-) -> ProjectiveBasis:
+def _trusted_basis(states: tuple[PureState, ...], labels: tuple[str, ...]) -> ProjectiveBasis:
     """Wrap states that form an orthonormal basis by construction, without re-checking them.
 
     The basis counterpart of ``_trusted_state``, for a tuple of states on one
     subsystem, as many as its dimension, whose orthonormality follows from
-    how they were built, with one distinct label each.  Stacks ``matrix``
-    and ``_matrix_conj`` as the public constructor does, with the same bits,
-    but runs no Gram product and no label or dimension check.
+    how they were built, with one distinct label each.  Sets its fields as
+    the public constructor does, with the same bits, but runs no Gram
+    product and no label or dimension check.
     """
     basis = object.__new__(ProjectiveBasis)
+    _set_basis_fields(basis, states, labels)
+    return basis
+
+
+def _set_basis_fields(
+    basis: ProjectiveBasis, states: tuple[PureState, ...], labels: tuple[str, ...]
+) -> None:
+    """Set ``basis``'s fields: states, labels, amplitude rows and their conjugate, read-only."""
     matrix = np.array([s.amplitudes for s in states])
     matrix_conj = matrix.conj()
     matrix.setflags(write=False)
     matrix_conj.setflags(write=False)
     object.__setattr__(basis, "states", states)
-    object.__setattr__(basis, "outcome_labels", outcome_labels)
+    object.__setattr__(basis, "outcome_labels", labels)
     object.__setattr__(basis, "matrix", matrix)
     object.__setattr__(basis, "_matrix_conj", matrix_conj)
-    return basis
 
 
 def tensor_product(a: PureState, b: PureState) -> PureState:

@@ -69,18 +69,11 @@ BOUNDARY_FLOATS = (
     2.0, -0.0, 1e-5, 1.5e-7, math.nan, math.inf, -math.inf,
 )
 
-JSON_VALUES = st.recursive(
-    st.none()
-    | st.booleans()
-    | st.integers(-(2**70), 2**70)
-    | st.floats()
-    | st.floats().map(np.float64)
-    | st.text(),
-    lambda children: st.lists(children, max_size=4)
-    | st.lists(children, max_size=4).map(tuple)
-    | st.dictionaries(st.text(max_size=6), children, max_size=4),
-    max_leaves=30,
+# Every value a layout's slot can take: floats, numpy float64, bools and ints.
+SLOT_VALUES = (
+    st.floats() | st.floats().map(np.float64) | st.booleans() | st.integers(-(2**70), 2**70)
 )
+ONE_SLOT_LAYOUT = cli._layout({"value": cli._SLOT})
 
 
 def run_capped(argv):
@@ -469,35 +462,28 @@ SUBCOMMANDS = {
 
 
 class TestRenderJson:
+    """One slot's value renders as ``json.dumps`` renders it, floats at 12 digits."""
+
     def test_payload_edge_cases(self):
-        payload = {
-            "zero": -0.0,
-            "np": np.float64(-1e-300),
-            "float32": np.float32(0.1),
-            "ints": [0, -7, 2**64],
-            "flags": (True, False, None),
-            "empty": {"list": [], "tuple": (), "dict": {}},
-            "text": "\u00e9\u6f22\U0001f600 \"q\" \\ \n\t\x00",
-            "\u00fc": [1.23456789012345e-7, 123456789012345.0, math.inf, -math.inf, math.nan],
-            "nested": [[{"a": [0.1 + 0.2]}]],
-            "boundaries": list(BOUNDARY_FLOATS),
-        }
-        assert cli._render_json(payload) == reference_render(payload)
+        for value in (*BOUNDARY_FLOATS, np.float64(-1e-300), True, False, 0, -7, 2**64):
+            payload = {"value": value}
+            assert cli._fill(ONE_SLOT_LAYOUT, (value,)) == reference_render(payload)
 
     @settings(derandomize=True, max_examples=500)
-    @given(JSON_VALUES)
+    @given(SLOT_VALUES)
     def test_matches_reference(self, value):
         payload = {"value": value}
-        assert cli._render_json(payload) == reference_render(payload)
+        assert cli._fill(ONE_SLOT_LAYOUT, (value,)) == reference_render(payload)
 
     def test_rejects_unknown_type(self):
-        with pytest.raises(TypeError):
-            cli._render_json({"x": object()})
+        for value in (object(), "text", np.int64(1), None, np.float32(0.5)):
+            with pytest.raises(TypeError):
+                cli._fill(ONE_SLOT_LAYOUT, (value,))
 
 
 # The payload builders of the per-request renderer that the layouts
-# replaced, kept as the reference: each builds the dict that was rendered
-# with ``_render_json``, from the same results.
+# replaced, kept as the reference: each builds the dict whose
+# ``reference_render`` a layout filled from the same results must equal.
 
 
 def probs_payload(args, entries, checks):
@@ -593,7 +579,7 @@ def teleport_fidelity_payload(args, results, checks):
 
 
 # Every value a payload can carry: the boundary floats, any float, and numpy
-# float64 for the renderer's fallback path.
+# float64, which a slot renders as the float it is.
 NUMBERS = st.sampled_from(BOUNDARY_FLOATS) | st.floats() | st.floats().map(np.float64)
 SIGNS = st.sampled_from((-1, 1))
 
@@ -681,7 +667,7 @@ def teleport_fidelity_case(draw):
     checks = draw(
         checks_of(("total_probability_deviation", "probability_deviation", "fidelity_deviation"))
     )
-    values = (args.beta, args.phi, *(v for result in results for v in result), *checks.values())
+    values = (args.beta, args.phi, *(v for _, p, f in results for v in (p, f)), *checks.values())
     return values, teleport_fidelity_payload(args, results, checks)
 
 
@@ -701,7 +687,7 @@ class TestLayouts:
     def test_fill_matches_payload_render(self, name, data):
         layout, case = LAYOUT_CASES[name]
         values, payload = data.draw(case)
-        assert cli._fill(layout, values) == cli._render_json(payload)
+        assert cli._fill(layout, values) == reference_render(payload)
 
     @pytest.mark.parametrize("name", sorted(LAYOUT_CASES))
     def test_wrong_slot_count_raises(self, name):

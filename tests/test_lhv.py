@@ -74,12 +74,33 @@ def random_ensemble(rng, strategies):
     return StrategyEnsemble(tuple(zip(strategies, weights)))
 
 
+# Strategy answers: signs, and values that are not signs.
+SIGN_LIKE_ANSWERS = (
+    st.sampled_from([-1, 1, 0, 2, -2, 1.0, -1.0, 0.5, math.nan, math.inf, -math.inf, True])
+    | st.integers()
+    | st.floats()
+)
+
+
 class TestDeterministicStrategy:
     def test_rejects_non_sign_entries(self):
         with pytest.raises(ValueError):
             DeterministicStrategy(bob=(0, 1), alice=((1, 1), (1, 1)))
         with pytest.raises(ValueError):
             DeterministicStrategy(bob=(1, 1), alice=((2, 1), (1, 1)))
+
+    @settings(derandomize=True, max_examples=300)
+    @given(st.lists(SIGN_LIKE_ANSWERS, min_size=6, max_size=6))
+    def test_refused_or_valid(self, answers):
+        with np.errstate(all="ignore"):
+            try:
+                s = DeterministicStrategy(
+                    bob=tuple(answers[:2]), alice=(tuple(answers[2:4]), tuple(answers[4:]))
+                )
+            except ValueError:
+                return
+            assert all(v in (-1, 1) for v in answers)
+            assert enumerate_strategies()[s.row] == s
 
     def test_setting_lookup(self):
         s = DeterministicStrategy(bob=(-1, 1), alice=((-1, -1), (1, 1)))
@@ -260,6 +281,18 @@ class TestArrayPaths:
         for row, strategy in zip(STRATEGY_SIGNS, strategies):
             assert np.array_equal(row, strategy_super_vector(strategy))
 
+    def test_sign_tensor_built_from_row_bits(self):
+        # the one-expression tensor against the per-strategy stacks it replaced
+        strategies = enumerate_strategies()
+        stacked = np.stack([strategy_super_vector(s) for s in strategies])
+        assert STRATEGY_SIGNS.dtype == stacked.dtype and STRATEGY_SIGNS.shape == stacked.shape
+        assert STRATEGY_SIGNS.tobytes() == stacked.tobytes()
+        for index, strategy in enumerate(strategies):
+            assert strategy.row == index
+            # the CLI prints the answers; only Python ints fill its slots
+            answers = (*strategy.bob, *strategy.alice[0], *strategy.alice[1])
+            assert all(type(v) is int for v in answers)
+
     def test_row_is_the_enumeration_index(self):
         for index, strategy in enumerate(enumerate_strategies()):
             fresh = fresh_strategy(index)
@@ -335,6 +368,20 @@ class TestArrayPaths:
             ensemble_correlation(ensemble, *pair)
 
 
+# Weights that are not finite, negative, overflowing in sum, or any float;
+# and weight lists that do sum to 1.
+EXTREME_WEIGHTS = (
+    st.sampled_from([math.nan, math.inf, -math.inf, -0.5, -0.0, 5e-324, 1e308, 1.0, 0.5])
+    | st.floats()
+)
+VALID_WEIGHT_LISTS = [
+    [(5, 1.0)],
+    [(0, 0.5), (63, 0.5)],
+    [(1, 0.25), (2, 0.25), (3, 0.25), (4, 0.25)],
+    [(7, 1.0), (8, 0.0)],
+]
+
+
 class TestStrategyEnsemble:
     def test_weights_must_normalize(self):
         s = all_plus()
@@ -345,6 +392,28 @@ class TestStrategyEnsemble:
         strategies = enumerate_strategies()
         with pytest.raises(ValueError, match="nonnegative"):
             StrategyEnsemble(((strategies[0], -0.5), (strategies[1], 1.5)))
+
+    def test_overflowing_weight_sum_refused(self):
+        strategies = enumerate_strategies()
+        with pytest.raises(ValueError, match="sum to"):
+            StrategyEnsemble(((strategies[0], 1e308), (strategies[1], 1e308)))
+
+    @settings(derandomize=True, max_examples=300)
+    @given(
+        st.lists(st.tuples(st.integers(0, 63), EXTREME_WEIGHTS), min_size=1, max_size=4)
+        | st.sampled_from(VALID_WEIGHT_LISTS)
+    )
+    def test_refused_or_valid(self, entries):
+        strategies = enumerate_strategies()
+        with np.errstate(all="ignore"):
+            try:
+                ensemble = StrategyEnsemble(tuple((strategies[i], w) for i, w in entries))
+            except ValueError:
+                return
+            weights = [w for _, w in ensemble.entries]
+            assert all(math.isfinite(w) and w >= 0.0 for w in weights)
+            assert abs(math.fsum(weights) - 1.0) <= 1e-12
+            assert np.isfinite(ensemble_super_vector(ensemble)).all()
 
     def test_point_mass_correlation(self):
         s = DeterministicStrategy(bob=(-1, 1), alice=((-1, 1), (1, -1)))
