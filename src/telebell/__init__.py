@@ -9,11 +9,8 @@ extends the argument to visibility thresholds and entanglement swapping.
 
 from .corrvec import (
     SETTING_PAIRS_DEGREES,
-    alice_value,
-    bob_value,
     build_quantum_super_vector,
     correlation_closed_form,
-    correlation_from_distribution,
     super_dot,
     super_norm_sq,
 )
@@ -22,7 +19,6 @@ from .lhv import (
     DeterministicStrategy,
     StrategyEnsemble,
     bell_test,
-    ensemble_correlation,
     ensemble_super_vector,
     enumerate_strategies,
     lhv_extremal_bound,
@@ -32,10 +28,7 @@ from .noise import noisy_joint_distribution, violation_threshold
 from .qstate import (
     ProjectiveBasis,
     PureState,
-    apply_local_unitary,
-    inner_product,
     measure_probabilities,
-    partial_inner,
     tensor_product,
 )
 from .swap import (
@@ -45,7 +38,6 @@ from .swap import (
     max_chsh,
     reduced_purity,
     run_swap,
-    single_outcome_subensemble,
     swap_initial_state,
 )
 from .teleport import (

@@ -1,4 +1,4 @@
-"""Vector-valued outcome assignment and the correlation super-vector.
+"""Vector-valued correlations and the correlation super-vector.
 
 Alice's four Bell outcomes map to the 2-vectors (-1,-1), (-1,1), (1,-1),
 (1,1) (binary labels with 0 replaced by -1); Bob's outcomes map to -1 and +1.
@@ -13,7 +13,7 @@ from math import cos, isfinite, sin
 
 import numpy as np
 
-from .teleport import AnalyzerSettings, JointDistribution, PreparationSettings
+from .teleport import AnalyzerSettings, PreparationSettings
 
 ALICE_PHI_DEGREES = (0.0, 90.0)
 BOB_PHI_DEGREES = (-45.0, 45.0)
@@ -28,53 +28,17 @@ SETTING_PAIRS_DEGREES = (
     (90.0, 45.0),
 )
 
-_ALICE_VECTORS = {
-    "00": (-1.0, -1.0),
-    "01": (-1.0, 1.0),
-    "10": (1.0, -1.0),
-    "11": (1.0, 1.0),
-}
-_BOB_VALUES = {"0": -1.0, "1": 1.0}
-
-_ALICE_MATRIX = np.array([_ALICE_VECTORS[c] for c in ("00", "01", "10", "11")])
-_BOB_SIGNS = np.array([_BOB_VALUES["0"], _BOB_VALUES["1"]])
-_ALICE_MATRIX.setflags(write=False)
-_BOB_SIGNS.setflags(write=False)
-
 __all__ = [
     "ALICE_PHI_DEGREES",
     "BOB_PHI_DEGREES",
     "STANDARD_BETA_DEGREES",
     "SETTING_PAIRS_DEGREES",
-    "alice_value",
-    "bob_value",
-    "correlation_from_distribution",
     "correlation_closed_form",
     "standard_setting_pairs",
     "build_quantum_super_vector",
     "super_norm_sq",
     "super_dot",
 ]
-
-
-def alice_value(outcome: str) -> np.ndarray:
-    """2-vector assigned to a Bell outcome."""
-    if outcome not in _ALICE_VECTORS:
-        raise ValueError(f"unknown Bell outcome {outcome!r}")
-    return np.array(_ALICE_VECTORS[outcome])
-
-
-def bob_value(outcome: str) -> float:
-    """Sign assigned to Bob's outcome: -1 for "0", +1 for "1"."""
-    if outcome not in _BOB_VALUES:
-        raise ValueError(f"unknown analyzer outcome {outcome!r}")
-    return _BOB_VALUES[outcome]
-
-
-def correlation_from_distribution(dist: JointDistribution) -> np.ndarray:
-    """Average of Bob's sign times Alice's vector under the distribution."""
-    signed = dist.table @ _BOB_SIGNS
-    return _ALICE_MATRIX.T @ signed
 
 
 def correlation_closed_form(

@@ -42,10 +42,15 @@ __all__ = [
     "enumerate_strategies",
     "lhv_extremal_bound",
     "ensemble_super_vector",
-    "ensemble_correlation",
     "check_visibility",
     "bell_test",
 ]
+
+
+def _is_sign(answer) -> bool:
+    # a Python int only: a bool, float or numpy integer equal to a sign would
+    # keep its type in the answers, which the CLI prints
+    return type(answer) is int and answer in (-1, 1)
 
 
 @dataclass(frozen=True)
@@ -64,12 +69,12 @@ class DeterministicStrategy:
     row: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if len(self.bob) != 2 or any(v not in (-1, 1) for v in self.bob):
-            raise ValueError(f"bob answers must be two signs, got {self.bob}")
+        if len(self.bob) != 2 or not all(map(_is_sign, self.bob)):
+            raise ValueError(f"bob answers must be two int signs, got {self.bob}")
         if len(self.alice) != 2 or any(
-            len(vec) != 2 or any(v not in (-1, 1) for v in vec) for vec in self.alice
+            len(vec) != 2 or not all(map(_is_sign, vec)) for vec in self.alice
         ):
-            raise ValueError(f"alice answers must be two sign 2-vectors, got {self.alice}")
+            raise ValueError(f"alice answers must be two int sign 2-vectors, got {self.alice}")
         # the enumeration runs over (bob -45, bob +45, alice 0, alice 90) with
         # -1 before +1 in each sign: the answers are the row's binary digits
         row = 0
@@ -134,8 +139,10 @@ def lhv_extremal_bound(v_qm) -> ExtremalBound:
     v = _as_super_vector(v_qm)
     if v.shape != STRATEGY_SIGNS.shape[1:]:
         raise ValueError(f"super-vector must have shape (4, 2), got {v.shape}")
-    values = (STRATEGY_SIGNS * v).sum(axis=(1, 2))
-    # a non-finite entry makes every strategy's value non-finite
+    # a non-finite entry or an overflowing sum makes a value non-finite: that
+    # raises the ValueError below, not a RuntimeWarning
+    with np.errstate(invalid="ignore", over="ignore"):
+        values = (STRATEGY_SIGNS * v).sum(axis=(1, 2))
     if not np.isfinite(values).all():
         raise ValueError("super-vector products must be finite")
     best = int(values.argmax())
@@ -188,19 +195,6 @@ class StrategyEnsemble:
 def ensemble_super_vector(ensemble: StrategyEnsemble) -> np.ndarray:
     """Weight-averaged strategy super-vector."""
     return (ensemble._weights @ _FLAT_SIGNS.take(ensemble._rows, axis=0)).reshape(4, 2)
-
-
-def ensemble_correlation(
-    ensemble: StrategyEnsemble, alice_phi_deg: float, bob_phi_deg: float
-) -> np.ndarray:
-    """Hidden-variable correlation vector at one setting pair of the grid."""
-    try:
-        row = SETTING_PAIRS_DEGREES.index((alice_phi_deg, bob_phi_deg))
-    except ValueError:
-        raise ValueError(
-            f"unknown setting pair ({alice_phi_deg!r}, {bob_phi_deg!r}) degrees"
-        ) from None
-    return ensemble_super_vector(ensemble)[row]
 
 
 @dataclass(frozen=True)

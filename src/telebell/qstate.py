@@ -16,7 +16,7 @@ Conventions
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import isfinite, sqrt
+from math import sqrt
 
 import numpy as np
 
@@ -31,11 +31,8 @@ __all__ = [
     "PureState",
     "ProjectiveBasis",
     "tensor_product",
-    "inner_product",
-    "partial_inner",
     "basis_coefficients",
     "measure_probabilities",
-    "apply_local_unitary",
     "clamp_probability",
 ]
 
@@ -55,8 +52,7 @@ class PureState:
     """Complex amplitude vector over 1-4 labelled qubits.
 
     The vector is not forced to unit norm at construction; projection
-    residuals are legitimately sub-normalized.  ``normalize`` returns the
-    unit-norm version.
+    residuals are legitimately sub-normalized.
     """
 
     amplitudes: np.ndarray
@@ -89,14 +85,6 @@ class PureState:
 
     def is_unit(self, tol: float = ATOL) -> bool:
         return abs(self.norm_sq - 1.0) <= tol
-
-    def normalize(self) -> "PureState":
-        n_sq = self.norm_sq
-        if not isfinite(n_sq):
-            raise ValueError(f"cannot normalize a state whose squared norm is {n_sq!r}")
-        if n_sq < PROB_FLOOR:
-            raise ValueError("cannot normalize a near-zero state")
-        return _trusted_state(self.amplitudes / sqrt(n_sq), self.factor_labels)
 
 
 def _trusted_state(amplitudes: np.ndarray, labels: tuple[str, ...]) -> PureState:
@@ -203,15 +191,6 @@ def tensor_product(a: PureState, b: PureState) -> PureState:
     )
 
 
-def inner_product(a: PureState, b: PureState) -> complex:
-    """``<a|b>`` with conjugation on the first argument."""
-    if a.factor_labels != b.factor_labels:
-        raise ValueError(
-            f"states live on different subsystems: {a.factor_labels} vs {b.factor_labels}"
-        )
-    return complex(np.vdot(a.amplitudes, b.amplitudes))
-
-
 def _front_permutation(state: PureState, front_labels: tuple[str, ...]) -> tuple[list[int], tuple[str, ...]]:
     """Axis order putting ``front_labels`` first; remaining labels keep their order."""
     front = []
@@ -232,18 +211,6 @@ def _front_matrix(state: PureState, front_labels: tuple[str, ...]) -> tuple[np.n
         .reshape(2 ** len(front_labels), -1)
     )
     return mat, rest
-
-
-def partial_inner(bra: PureState, state: PureState) -> PureState:
-    """Contract ``<bra|`` against its subsystem of ``state``.
-
-    Returns the unnormalized residual on the remaining labels; its squared
-    norm is the Born probability of ``bra``.
-    """
-    if bra.num_qubits >= state.num_qubits:
-        raise ValueError("bra must cover a strict subsystem; use inner_product for full overlap")
-    mat, rest = _front_matrix(state, bra.factor_labels)
-    return _trusted_state(bra.amplitudes.conj() @ mat, rest)
 
 
 def basis_coefficients(state: PureState, basis: ProjectiveBasis, measured_labels) -> np.ndarray:
@@ -300,21 +267,3 @@ def measure_probabilities(
             post = _trusted_state(full, state.factor_labels)
         results.append((outcome, p, post))
     return results
-
-
-def apply_local_unitary(state: PureState, u, target_label: str) -> PureState:
-    """Apply a 2x2 unitary to one labelled factor, leaving the rest untouched."""
-    mat = np.asarray(u, dtype=complex)
-    if mat.shape != (2, 2):
-        raise ValueError(f"expected a 2x2 matrix, got shape {mat.shape}")
-    if not (np.abs(mat.conj().T @ mat - _IDENTITIES[2]).max() <= ATOL):
-        raise ValueError("matrix is not unitary within tolerance")
-    try:
-        axis = state.factor_labels.index(target_label)
-    except ValueError:
-        raise ValueError(
-            f"unknown factor label {target_label!r} in state on {state.factor_labels}"
-        ) from None
-    tensor = state.amplitudes.reshape([2] * state.num_qubits)
-    moved = np.tensordot(mat, tensor, axes=([1], [axis]))
-    return _trusted_state(np.moveaxis(moved, 0, axis).reshape(-1), state.factor_labels)

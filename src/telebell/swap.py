@@ -23,6 +23,7 @@ import numpy as np
 from .qstate import (
     PROB_FLOOR,
     PureState,
+    _front_matrix,
     basis_coefficients,
     clamp_probability,
     tensor_product,
@@ -41,7 +42,6 @@ __all__ = [
     "chsh_on_pair",
     "max_chsh",
     "run_swap",
-    "single_outcome_subensemble",
 ]
 
 
@@ -59,11 +59,7 @@ def reduced_purity(state: PureState, label: str) -> float:
 
     1 for a product state, 1/2 for a maximally entangled partner.
     """
-    if label not in state.factor_labels:
-        raise ValueError(f"unknown factor label {label!r} in state on {state.factor_labels}")
-    axis = state.factor_labels.index(label)
-    tensor = state.amplitudes.reshape([2] * state.num_qubits)
-    mat = np.moveaxis(tensor, axis, 0).reshape(2, -1)
+    mat, _ = _front_matrix(state, (label,))
     rho = mat @ mat.conj().T
     return float((rho @ rho).trace().real)
 
@@ -272,15 +268,3 @@ def run_swap() -> SwapReport:
         chsh_values[outcome] = scan.value
         chsh_angles[outcome] = scan.angles
     return SwapReport(probabilities, posts, chsh_values, chsh_angles)
-
-
-def single_outcome_subensemble(outcome: str) -> tuple[float, float]:
-    """Probability and maximal CHSH value of one post-selected outcome.
-
-    Restricting to runs with a single fixed Bell outcome (no correction, no
-    use of the other outcomes) already violates the CHSH inequality maximally.
-    """
-    if outcome not in BELL_OUTCOMES:
-        raise ValueError(f"unknown Bell outcome {outcome!r}")
-    probability, pair = _swap_stage()[BELL_OUTCOMES.index(outcome)]
-    return probability, max_chsh(pair).value

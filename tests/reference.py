@@ -1,7 +1,9 @@
 """Sequential references that only the tests use.
 
 Each builds its result the slow, explicit way, so that the library's fast
-paths can be checked against it.
+paths can be checked against it.  The state arithmetic and the outcome
+sign convention that the references are built from, and that no library
+path needs, live here too.
 """
 
 import math
@@ -11,7 +13,7 @@ import numpy as np
 
 from telebell.corrvec import correlation_closed_form, standard_setting_pairs
 from telebell.lhv import STRATEGY_SIGNS
-from telebell.qstate import ATOL, MAX_QUBITS, PureState, tensor_product
+from telebell.qstate import ATOL, MAX_QUBITS, PROB_FLOOR, PureState, _front_matrix, tensor_product
 from telebell.teleport import BOB_OUTCOMES, JointDistribution, _bell_stage
 
 
@@ -132,3 +134,65 @@ def reduced_purity(state, label):
     mat = np.moveaxis(tensor, axis, 0).reshape(2, -1)
     rho = mat @ mat.conj().T
     return float(np.trace(rho @ rho).real)
+
+
+def normalize(state):
+    """The unit-norm version of ``state``; a near-zero or non-finite squared norm raises."""
+    n_sq = state.norm_sq
+    if not math.isfinite(n_sq):
+        raise ValueError(f"cannot normalize a state whose squared norm is {n_sq!r}")
+    if n_sq < PROB_FLOOR:
+        raise ValueError("cannot normalize a near-zero state")
+    return PureState(state.amplitudes / math.sqrt(n_sq), state.factor_labels)
+
+
+def inner_product(a, b):
+    """``<a|b>`` with conjugation on the first argument."""
+    if a.factor_labels != b.factor_labels:
+        raise ValueError(
+            f"states live on different subsystems: {a.factor_labels} vs {b.factor_labels}"
+        )
+    return complex(np.vdot(a.amplitudes, b.amplitudes))
+
+
+def partial_inner(bra, state):
+    """Contract ``<bra|`` against its subsystem of ``state``.
+
+    Returns the unnormalized residual on the remaining labels; its squared
+    norm is the Born probability of ``bra``.
+    """
+    if bra.num_qubits >= state.num_qubits:
+        raise ValueError("bra must cover a strict subsystem; use inner_product for full overlap")
+    mat, rest = _front_matrix(state, bra.factor_labels)
+    return PureState(bra.amplitudes.conj() @ mat, rest)
+
+
+def apply_local_unitary(state, u, target_label):
+    """Apply a 2x2 unitary to one labelled factor, leaving the rest untouched."""
+    mat = np.asarray(u, dtype=complex)
+    if mat.shape != (2, 2):
+        raise ValueError(f"expected a 2x2 matrix, got shape {mat.shape}")
+    if not (np.abs(mat.conj().T @ mat - np.eye(2)).max() <= ATOL):
+        raise ValueError("matrix is not unitary within tolerance")
+    try:
+        axis = state.factor_labels.index(target_label)
+    except ValueError:
+        raise ValueError(
+            f"unknown factor label {target_label!r} in state on {state.factor_labels}"
+        ) from None
+    tensor = state.amplitudes.reshape([2] * state.num_qubits)
+    moved = np.tensordot(mat, tensor, axes=([1], [axis]))
+    return PureState(np.moveaxis(moved, 0, axis).reshape(-1), state.factor_labels)
+
+
+# The outcome sign convention: Alice's Bell outcomes "00", "01", "10", "11"
+# (the rows of a joint table) as 2-vectors with 0 replaced by -1, and Bob's
+# outcomes "0" and "1" (its columns) as -1 and +1.
+ALICE_VECTORS = np.array([(-1.0, -1.0), (-1.0, 1.0), (1.0, -1.0), (1.0, 1.0)])
+BOB_SIGNS = np.array([-1.0, 1.0])
+
+
+def correlation_from_distribution(dist):
+    """Average of Bob's sign times Alice's vector under the joint distribution."""
+    signed = dist.table @ BOB_SIGNS
+    return ALICE_VECTORS.T @ signed

@@ -9,16 +9,15 @@ from hypothesis import strategies as st
 
 from telebell.corrvec import (
     SETTING_PAIRS_DEGREES,
-    alice_value,
-    bob_value,
     build_quantum_super_vector,
     correlation_closed_form,
-    correlation_from_distribution,
     standard_setting_pairs,
     super_dot,
     super_norm_sq,
 )
 from telebell.teleport import (
+    BELL_OUTCOMES,
+    BOB_OUTCOMES,
     AnalyzerSettings,
     JointDistribution,
     PreparationSettings,
@@ -26,7 +25,12 @@ from telebell.teleport import (
     joint_distribution_simulated,
 )
 
-from reference import quantum_super_vector
+from reference import (
+    ALICE_VECTORS,
+    BOB_SIGNS,
+    correlation_from_distribution,
+    quantum_super_vector,
+)
 
 SQRT_HALF = math.sqrt(0.5)
 ANGLES = st.floats(-10.0, 10.0)
@@ -43,26 +47,39 @@ def numpy_correlation_closed_form(prep, analyzer):
     )
 
 
+# Bob's sign times Alice's vector for all the weight on one pair of outcomes.
+POINT_MASSES = [
+    ("00", "0", [1.0, 1.0]),
+    ("00", "1", [-1.0, -1.0]),
+    ("01", "0", [1.0, -1.0]),
+    ("01", "1", [-1.0, 1.0]),
+    ("10", "0", [-1.0, 1.0]),
+    ("10", "1", [1.0, -1.0]),
+    ("11", "0", [-1.0, -1.0]),
+    ("11", "1", [1.0, 1.0]),
+]
+
+
 class TestValueAssignment:
+    # the point masses fix the signs only up to flipping both parties' signs
+    # at once; test_mapping and test_bob_values fix which
+
     def test_mapping(self):
-        assert np.array_equal(alice_value("00"), [-1, -1])
-        assert np.array_equal(alice_value("01"), [-1, 1])
-        assert np.array_equal(alice_value("10"), [1, -1])
-        assert np.array_equal(alice_value("11"), [1, 1])
+        assert np.array_equal(ALICE_VECTORS, [[-1, -1], [-1, 1], [1, -1], [1, 1]])
 
     def test_injective(self):
-        vectors = {tuple(alice_value(c)) for c in ("00", "01", "10", "11")}
-        assert len(vectors) == 4
+        assert len({tuple(vector) for vector in ALICE_VECTORS}) == 4
 
     def test_bob_values(self):
-        assert bob_value("0") == -1.0
-        assert bob_value("1") == 1.0
+        assert np.array_equal(BOB_SIGNS, [-1.0, 1.0])
 
-    def test_unknown_outcomes(self):
-        with pytest.raises(ValueError):
-            alice_value("2")
-        with pytest.raises(ValueError):
-            bob_value("x")
+    @pytest.mark.parametrize(
+        "alice, bob, expected", POINT_MASSES, ids=[f"{a}-{b}" for a, b, _ in POINT_MASSES]
+    )
+    def test_point_mass(self, alice, bob, expected):
+        table = np.zeros((4, 2))
+        table[BELL_OUTCOMES.index(alice), BOB_OUTCOMES.index(bob)] = 1.0
+        assert np.array_equal(correlation_from_distribution(JointDistribution(table)), expected)
 
 
 class TestCorrelationFromDistribution:

@@ -5,7 +5,6 @@ import math
 import numpy as np
 import pytest
 
-from telebell.corrvec import correlation_from_distribution
 from telebell.lhv import bell_test
 from telebell.noise import noisy_joint_distribution, violation_threshold
 from telebell.teleport import (
@@ -13,6 +12,8 @@ from telebell.teleport import (
     PreparationSettings,
     joint_distribution_closed_form,
 )
+
+from reference import correlation_from_distribution
 
 
 class TestNoisyDistribution:

@@ -13,9 +13,7 @@ from telebell.qstate import (
     ProjectiveBasis,
     PureState,
     basis_coefficients,
-    inner_product,
     measure_probabilities,
-    partial_inner,
     tensor_product,
 )
 from telebell.swap import (
@@ -29,11 +27,11 @@ from telebell.swap import (
     pair_correlation,
     reduced_purity,
     run_swap,
-    single_outcome_subensemble,
     swap_initial_state,
 )
 from telebell.teleport import BELL_OUTCOMES, bell_basis, dichotomic_basis
 
+from reference import inner_product, normalize, partial_inner
 from reference import reduced_purity as trace_form_purity
 
 # Real and imaginary parts of a random 2-qubit state, away from zero.
@@ -68,7 +66,7 @@ def analytic_post_state(outcome):
 
 
 def random_pair(parts):
-    return PureState(parts[:4] + 1j * parts[4:], ("D", "C")).normalize()
+    return normalize(PureState(parts[:4] + 1j * parts[4:], ("D", "C")))
 
 
 def sequential_pair_correlation(state, angle_1, angle_2):
@@ -97,7 +95,7 @@ def sequential_swap_stage():
     basis = bell_basis()
     results = measure_probabilities(swap_initial_state(), basis, ("B", "A"))
     return [
-        (p, partial_inner(bra, post).normalize())
+        (p, normalize(partial_inner(bra, post)))
         for bra, (_, p, post) in zip(basis.states, results)
     ]
 
@@ -172,7 +170,7 @@ class TestReducedPurity:
     def test_matches_trace_form_bitwise(self, seed, n, which):
         rng = np.random.default_rng(seed)
         amplitudes = rng.standard_normal(2**n) + 1j * rng.standard_normal(2**n)
-        state = PureState(amplitudes, ("D", "A", "B", "C")[:n]).normalize()
+        state = normalize(PureState(amplitudes, ("D", "A", "B", "C")[:n]))
         label = state.factor_labels[which % n]
         assert reduced_purity(state, label).hex() == trace_form_purity(state, label).hex()
 
@@ -422,11 +420,10 @@ class TestMaxChsh:
 
 
 class TestSingleOutcomeSubensemble:
-    def test_selected_outcome(self):
-        probability, chsh = single_outcome_subensemble("10")
+    def test_selected_outcome(self, swap_report):
+        # one post-selected Bell outcome, with no correction and no use of
+        # the other outcomes, already violates the CHSH inequality maximally
+        probability = swap_report.outcome_probabilities["10"]
+        chsh = swap_report.chsh_values["10"]
         assert abs(probability - 0.25) <= 1e-12
         assert abs(chsh - TSIRELSON_BOUND) <= 1e-6
-
-    def test_unknown_outcome(self):
-        with pytest.raises(ValueError):
-            single_outcome_subensemble("both")

@@ -14,11 +14,8 @@ from telebell.qstate import (
     ProjectiveBasis,
     PureState,
     _trusted_basis,
-    apply_local_unitary,
     basis_coefficients,
-    inner_product,
     measure_probabilities,
-    partial_inner,
 )
 from telebell.swap import chsh_on_pair
 from telebell.teleport import (
@@ -38,7 +35,16 @@ from telebell.teleport import (
     run_full_teleportation,
 )
 
-from reference import bob_rows, closed_form_table, initial_state, simulated_table
+from reference import (
+    apply_local_unitary,
+    bob_rows,
+    closed_form_table,
+    initial_state,
+    inner_product,
+    normalize,
+    partial_inner,
+    simulated_table,
+)
 
 SQRT_HALF = 1 / math.sqrt(2.0)
 ANGLES = st.floats(-10.0, 10.0)
@@ -55,7 +61,7 @@ def sequential_teleportation(prep):
     results = []
     for idx, (outcome, p, post) in enumerate(measure_probabilities(state, basis, ("B", "A"))):
         corrected = apply_local_unitary(post, correction_unitary(outcome), "C")
-        residual = partial_inner(basis.states[idx], corrected).normalize()
+        residual = normalize(partial_inner(basis.states[idx], corrected))
         results.append((outcome, p, abs(inner_product(target, residual)) ** 2))
     return results
 
