@@ -29,7 +29,6 @@ from .qstate import (
     ProjectiveBasis,
     PureState,
     measure_probabilities,
-    tensor_product,
 )
 from .swap import (
     TSIRELSON_BOUND,
@@ -38,7 +37,6 @@ from .swap import (
     max_chsh,
     reduced_purity,
     run_swap,
-    swap_initial_state,
 )
 from .teleport import (
     BELL_OUTCOMES,

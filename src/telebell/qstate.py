@@ -30,7 +30,6 @@ __all__ = [
     "MAX_QUBITS",
     "PureState",
     "ProjectiveBasis",
-    "tensor_product",
     "basis_coefficients",
     "measure_probabilities",
     "clamp_probability",
@@ -83,8 +82,8 @@ class PureState:
     def norm_sq(self) -> float:
         return float(np.vdot(self.amplitudes, self.amplitudes).real)
 
-    def is_unit(self, tol: float = ATOL) -> bool:
-        return abs(self.norm_sq - 1.0) <= tol
+    def is_unit(self) -> bool:
+        return abs(self.norm_sq - 1.0) <= ATOL
 
 
 def _trusted_state(amplitudes: np.ndarray, labels: tuple[str, ...]) -> PureState:
@@ -100,13 +99,6 @@ def _trusted_state(amplitudes: np.ndarray, labels: tuple[str, ...]) -> PureState
     object.__setattr__(state, "amplitudes", amplitudes)
     object.__setattr__(state, "factor_labels", labels)
     return state
-
-
-# Read-only identities of every basis dimension a state can have, for the
-# orthonormality checks.
-_IDENTITIES = {2**n: np.eye(2**n) for n in range(1, MAX_QUBITS + 1)}
-for _eye in _IDENTITIES.values():
-    _eye.setflags(write=False)
 
 
 def _kron_1d(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -143,7 +135,7 @@ class ProjectiveBasis:
             raise ValueError("need one distinct outcome label per basis state")
         _set_basis_fields(self, states, labels)
         # written so that a NaN residual (an overflowed Gram entry) fails too
-        if not (np.abs(self._matrix_conj @ self.matrix.T - _IDENTITIES[dim]).max() <= ATOL):
+        if not (np.abs(self._matrix_conj @ self.matrix.T - np.eye(dim)).max() <= ATOL):
             raise ValueError("basis states are not orthonormal within tolerance")
 
     @property
@@ -177,18 +169,6 @@ def _set_basis_fields(
     object.__setattr__(basis, "outcome_labels", labels)
     object.__setattr__(basis, "matrix", matrix)
     object.__setattr__(basis, "_matrix_conj", matrix_conj)
-
-
-def tensor_product(a: PureState, b: PureState) -> PureState:
-    """Kronecker composite of two states with concatenated labels."""
-    overlap = set(a.factor_labels) & set(b.factor_labels)
-    if overlap:
-        raise ValueError(f"factor label collision: {sorted(overlap)}")
-    if a.num_qubits + b.num_qubits > MAX_QUBITS:
-        raise ValueError(f"composite would exceed {MAX_QUBITS} qubits")
-    return _trusted_state(
-        _kron_1d(a.amplitudes, b.amplitudes), a.factor_labels + b.factor_labels
-    )
 
 
 def _front_permutation(state: PureState, front_labels: tuple[str, ...]) -> tuple[list[int], tuple[str, ...]]:

@@ -20,15 +20,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .qstate import (
-    PROB_FLOOR,
-    PureState,
-    _front_matrix,
-    basis_coefficients,
-    clamp_probability,
-    tensor_product,
-)
-from .teleport import BELL_OUTCOMES, bell_basis
+from .qstate import PureState, _front_matrix
+from .teleport import _EPR, _bell_outcomes
 
 TSIRELSON_BOUND = 2.0 * sqrt(2.0)
 
@@ -36,22 +29,11 @@ __all__ = [
     "TSIRELSON_BOUND",
     "SwapReport",
     "ChshScanResult",
-    "swap_initial_state",
     "reduced_purity",
-    "pair_correlation",
     "chsh_on_pair",
     "max_chsh",
     "run_swap",
 ]
-
-
-def swap_initial_state() -> PureState:
-    """EPR(D, A) tensor EPR(B, C); labels (D, A, B, C)."""
-    epr = np.array([1.0, 0.0, 0.0, 1.0]) / sqrt(2.0)
-    return tensor_product(
-        PureState(epr, ("D", "A")),
-        PureState(epr, ("B", "C")),
-    )
 
 
 def reduced_purity(state: PureState, label: str) -> float:
@@ -91,11 +73,6 @@ def _correlations(state: PureState, angles_1, angles_2) -> np.ndarray:
     )
     p = (np.abs(amplitudes) ** 2).reshape(-1, 4).T
     return p[0] - p[1] - p[2] + p[3]
-
-
-def pair_correlation(state: PureState, angle_1: float, angle_2: float) -> float:
-    """Product correlation of two real dichotomic analyzers on a 2-qubit state."""
-    return float(_correlations(state, (angle_1,), (angle_2,))[0])
 
 
 def chsh_on_pair(state: PureState, angles) -> float:
@@ -237,31 +214,21 @@ class SwapReport:
     chsh_angles: dict[str, tuple[float, float, float, float]]
 
 
-def _swap_stage() -> list[tuple[float, PureState]]:
-    """Bell measurement on (B, A) of the double EPR state, one entry per outcome.
-
-    Row j of the coefficient array is ``<b_j|psi>``, the unnormalized (D, C)
-    pair given Bell outcome j; its squared norm is that outcome's
-    probability.
-    """
-    rows = basis_coefficients(swap_initial_state(), bell_basis(), ("B", "A"))
-    probabilities = np.einsum("ij,ij->i", rows, rows.conj()).real
-    stage = []
-    for outcome, row, raw in zip(BELL_OUTCOMES, rows, probabilities):
-        p = clamp_probability(float(raw))
-        if p < PROB_FLOOR:
-            raise RuntimeError(f"Bell outcome {outcome} unexpectedly has zero probability")
-        stage.append((p, PureState(row / sqrt(p), ("D", "C"))))
-    return stage
-
-
 def run_swap() -> SwapReport:
-    """Bell-measure (B, A) of the double EPR state and analyse every outcome."""
+    """Bell-measure (B, A) of the double EPR state and analyse every outcome.
+
+    A is half of the (D, A) EPR pair, so the Bell stage runs on A's
+    amplitudes with D as the spectator, ``amp[a, d]``: the (D, A) pair's
+    amplitude matrix transposed, which for the symmetric ``_EPR`` is
+    ``_EPR`` itself.  Row j of the stage is the unnormalized (D, C) pair
+    given Bell outcome j.
+    """
     probabilities: dict[str, float] = {}
     posts: dict[str, PureState] = {}
     chsh_values: dict[str, float] = {}
     chsh_angles: dict[str, tuple[float, float, float, float]] = {}
-    for outcome, (probability, pair) in zip(BELL_OUTCOMES, _swap_stage()):
+    for outcome, probability, row in _bell_outcomes(_EPR):
+        pair = PureState(row / sqrt(probability), ("D", "C"))
         scan = max_chsh(pair)
         probabilities[outcome] = probability
         posts[outcome] = pair

@@ -110,20 +110,6 @@ class AnalyzerSettings(_AnglePair):
     """Angles (beta', phi') of Bob's dichotomic analyzer, as ``beta`` and ``phi``, in radians."""
 
 
-def _bell_index(outcome: str) -> int:
-    try:
-        return BELL_OUTCOMES.index(outcome)
-    except ValueError:
-        raise ValueError(f"unknown Bell outcome {outcome!r}") from None
-
-
-def _bob_index(outcome: str) -> int:
-    try:
-        return BOB_OUTCOMES.index(outcome)
-    except ValueError:
-        raise ValueError(f"unknown analyzer outcome {outcome!r}") from None
-
-
 @dataclass(frozen=True, eq=False)
 class JointDistribution:
     """The eight joint probabilities P(bell outcome, analyzer outcome).
@@ -161,16 +147,13 @@ class JointDistribution:
         object.__setattr__(self, "_largest", max(entries))
         object.__setattr__(self, "_marginal", tuple(map(add, entries[0::2], entries[1::2])))
 
-    def probability(self, bell: str, bob: str) -> float:
-        return float(self.table[_bell_index(bell), _bob_index(bob)])
-
-    def validate(self, tol: float = 1e-12) -> "JointDistribution":
-        if not (self._largest <= 1.0 + tol):
+    def validate(self) -> "JointDistribution":
+        if not (self._largest <= 1.0 + ATOL):
             raise ValueError("probability above 1")
         total = sum(self._marginal)
-        if not (abs(total - 1.0) <= tol):
+        if not (abs(total - 1.0) <= ATOL):
             raise ValueError(f"probabilities sum to {total!r}, not 1")
-        if not all(abs(m - 0.25) <= tol for m in self._marginal):
+        if not all(abs(m - 0.25) <= ATOL for m in self._marginal):
             raise ValueError(f"Bell-outcome marginal {self._marginal!r} is not flat 1/4")
         return self
 
@@ -193,11 +176,13 @@ def _bell_basis() -> ProjectiveBasis:
 
 _BELL_BASIS = _bell_basis()
 # The Bell stage's fixed operands: the conjugated Bell rows, and the EPR pair
-# (|00> + |11>)/sqrt(2) on (B, C) as a (B, 1, C) array that broadcasts
-# against A's amplitudes.
+# (|00> + |11>)/sqrt(2) as a (2, 2) amplitude matrix, rows indexed by its
+# first qubit, with its (B, A, D, C) view that broadcasts against A's
+# amplitudes: B of the (B, C) pair along the first axis, C along the last.
 _BELL_CONJ = _BELL_BASIS._matrix_conj
-_EPR_B1C = np.array(np.array([1.0, 0.0, 0.0, 1.0]) / sqrt(2.0), dtype=complex).reshape(2, 1, 2)
-_EPR_B1C.setflags(write=False)
+_EPR = np.array(np.array([1.0, 0.0, 0.0, 1.0]) / sqrt(2.0), dtype=complex).reshape(2, 2)
+_EPR.setflags(write=False)
+_EPR_B11C = _EPR.reshape(2, 1, 1, 2)
 
 
 def bell_basis() -> ProjectiveBasis:
@@ -251,19 +236,34 @@ def joint_distribution_closed_form(
     return JointDistribution(table).validate()
 
 
-def _bell_stage(prep: PreparationSettings) -> np.ndarray:
-    """Alice's Bell measurement on (B, A) of the initial state; independent of Bob.
+def _bell_stage(amp: np.ndarray) -> np.ndarray:
+    """Alice's Bell measurement on (B, A), with B half of the (B, C) EPR pair.
 
-    The initial state is the prepared qubit A tensored with the (B, C) EPR
-    pair.  The result is a (4, 2) array whose row j is ``<b_j|psi>``: qubit
-    C's unnormalized state given Bell outcome j, whose squared norm is that
-    outcome's probability.  The state's amplitudes ``amp[a] * epr[b, c]``
-    are laid out with rows in (B, A) order and contracted with the fixed
-    conjugated Bell rows: the products and the matmul of ``basis_coefficients``
-    on the full 3-qubit state, without building that state.
+    ``amp`` holds A's amplitudes, ``amp[a]``, or with a spectator qubit D
+    entangled with A, ``amp[a, d]``.  The result has one row per Bell
+    outcome: row j is ``<b_j|psi>``, the unnormalized state left on C, or on
+    (D, C) with D the more significant bit, whose squared norm is that
+    outcome's probability.  The amplitudes ``amp[a, d] * epr[b, c]`` of the
+    full state are laid out with rows in (B, A) order and contracted with
+    the fixed conjugated Bell rows: the products and the matmul of
+    ``basis_coefficients`` on the full state, without building that state.
     """
-    amp = _preparation_amplitudes(prep)
-    return _BELL_CONJ @ (amp[:, None] * _EPR_B1C).reshape(4, 2)
+    return _BELL_CONJ @ (amp.reshape(2, -1, 1) * _EPR_B11C).reshape(4, -1)
+
+
+def _bell_outcomes(amp: np.ndarray) -> list[tuple[str, float, np.ndarray]]:
+    """``(outcome, probability, row)`` for each row of ``_bell_stage(amp)``.
+
+    Every outcome of a Bell measurement on half of an EPR pair has
+    probability 1/4, so one below ``PROB_FLOOR`` is an invariant breach.
+    """
+    results = []
+    for outcome, row in zip(BELL_OUTCOMES, _bell_stage(amp)):
+        p = clamp_probability(float(np.vdot(row, row).real))
+        if p < PROB_FLOOR:
+            raise RuntimeError(f"Bell outcome {outcome} unexpectedly has zero probability")
+        results.append((outcome, p, row))
+    return results
 
 
 def joint_distribution_simulated(
@@ -275,7 +275,7 @@ def joint_distribution_simulated(
     basis state ``a_k``.  Independent of the closed form; the two must
     agree within 1e-12.
     """
-    amplitudes = _bell_stage(prep) @ bob_basis(analyzer)._matrix_conj.T
+    amplitudes = _bell_stage(_preparation_amplitudes(prep)) @ bob_basis(analyzer)._matrix_conj.T
     return JointDistribution(np.abs(amplitudes) ** 2).validate()
 
 
@@ -306,8 +306,10 @@ def correction_unitary(outcome: str) -> np.ndarray:
     preparation; the oracle test in ``run_full_teleportation`` guards the
     convention.
     """
-    _bell_index(outcome)
-    return _CORRECTIONS[outcome]
+    try:
+        return _CORRECTIONS[outcome]
+    except KeyError:
+        raise ValueError(f"unknown Bell outcome {outcome!r}") from None
 
 
 def run_full_teleportation(prep: PreparationSettings) -> list[tuple[str, float, float]]:
@@ -320,10 +322,7 @@ def run_full_teleportation(prep: PreparationSettings) -> list[tuple[str, float, 
     """
     target = _preparation_amplitudes(prep)
     results = []
-    for outcome, row in zip(BELL_OUTCOMES, _bell_stage(prep)):
-        p = clamp_probability(float(np.vdot(row, row).real))
-        if p < PROB_FLOOR:
-            raise RuntimeError(f"Bell outcome {outcome} unexpectedly has zero probability")
+    for outcome, p, row in _bell_outcomes(target):
         overlap = complex(np.vdot(target, _CORRECTIONS[outcome] @ row))
         results.append((outcome, p, abs(overlap / sqrt(p)) ** 2))
     return results

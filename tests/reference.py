@@ -13,8 +13,23 @@ import numpy as np
 
 from telebell.corrvec import correlation_closed_form, standard_setting_pairs
 from telebell.lhv import STRATEGY_SIGNS
-from telebell.qstate import ATOL, MAX_QUBITS, PROB_FLOOR, PureState, _front_matrix, tensor_product
-from telebell.teleport import BOB_OUTCOMES, JointDistribution, _bell_stage
+from telebell.qstate import ATOL, MAX_QUBITS, PROB_FLOOR, PureState, _front_matrix
+from telebell.teleport import BOB_OUTCOMES, JointDistribution, _bell_stage, _preparation_amplitudes
+
+
+def tensor_product(a, b):
+    """Kronecker composite of two states with concatenated labels."""
+    overlap = set(a.factor_labels) & set(b.factor_labels)
+    if overlap:
+        raise ValueError(f"factor label collision: {sorted(overlap)}")
+    if a.num_qubits + b.num_qubits > MAX_QUBITS:
+        raise ValueError(f"composite would exceed {MAX_QUBITS} qubits")
+    return PureState(np.kron(a.amplitudes, b.amplitudes), a.factor_labels + b.factor_labels)
+
+
+def epr_pair(labels):
+    """``(|00> + |11>)/sqrt(2)`` on two labelled qubits."""
+    return PureState(np.array([1.0, 0.0, 0.0, 1.0]) / math.sqrt(2.0), labels)
 
 
 def initial_state(prep):
@@ -26,8 +41,12 @@ def initial_state(prep):
     generic Born-rule path over this state bit for bit.
     """
     a = np.array([math.sin(prep.beta), math.cos(prep.beta) * np.exp(1j * prep.phi)])
-    epr = np.array([1.0, 0.0, 0.0, 1.0]) / math.sqrt(2.0)
-    return tensor_product(PureState(a, ("A",)), PureState(epr, ("B", "C")))
+    return tensor_product(PureState(a, ("A",)), epr_pair(("B", "C")))
+
+
+def swap_initial_state():
+    """EPR(D, A) tensor EPR(B, C); labels (D, A, B, C)."""
+    return tensor_product(epr_pair(("D", "A")), epr_pair(("B", "C")))
 
 
 # The numpy-function forms below are the expressions the library evaluated
@@ -109,7 +128,7 @@ def bob_rows(analyzer):
 
 def simulated_table(prep, analyzer):
     """The oracle's table with Bob's rows from ``bob_rows``, conjugated here."""
-    amplitudes = _bell_stage(prep) @ bob_rows(analyzer).conj().T
+    amplitudes = _bell_stage(_preparation_amplitudes(prep)) @ bob_rows(analyzer).conj().T
     return JointDistribution(np.abs(amplitudes) ** 2).validate().table
 
 

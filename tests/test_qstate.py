@@ -14,7 +14,6 @@ from telebell.qstate import (
     basis_coefficients,
     clamp_probability,
     measure_probabilities,
-    tensor_product,
 )
 
 from reference import (
@@ -24,6 +23,7 @@ from reference import (
     normalize,
     partial_inner,
     pure_state_amplitudes,
+    tensor_product,
 )
 
 

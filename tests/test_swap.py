@@ -14,24 +14,22 @@ from telebell.qstate import (
     PureState,
     basis_coefficients,
     measure_probabilities,
-    tensor_product,
 )
 from telebell.swap import (
     TSIRELSON_BOUND,
     _analyzer_angle,
+    _analyzer_rows,
     _correlation_matrix,
+    _correlations,
     _optimal_axes,
-    _swap_stage,
     chsh_on_pair,
     max_chsh,
-    pair_correlation,
     reduced_purity,
     run_swap,
-    swap_initial_state,
 )
 from telebell.teleport import BELL_OUTCOMES, bell_basis, dichotomic_basis
 
-from reference import inner_product, normalize, partial_inner
+from reference import inner_product, normalize, partial_inner, swap_initial_state, tensor_product
 from reference import reduced_purity as trace_form_purity
 
 # Real and imaginary parts of a random 2-qubit state, away from zero.
@@ -67,6 +65,11 @@ def analytic_post_state(outcome):
 
 def random_pair(parts):
     return normalize(PureState(parts[:4] + 1j * parts[4:], ("D", "C")))
+
+
+def pair_correlation(state, angle_1, angle_2):
+    """Born-rule correlation of one real analyzer pair: a batch of one."""
+    return _correlations(state, (angle_1,), (angle_2,))[0]
 
 
 def sequential_pair_correlation(state, angle_1, angle_2):
@@ -221,15 +224,15 @@ class TestPairCorrelation:
             assert pair_correlation(state, a, b) == pytest.approx(expected, abs=1e-12)
 
     def test_requires_two_qubits(self):
-        with pytest.raises(ValueError):
-            pair_correlation(swap_initial_state(), 0.0, 0.0)
+        with pytest.raises(ValueError, match="2-qubit"):
+            chsh_on_pair(swap_initial_state(), (0.0, 0.0, 0.0, 0.0))
 
     @settings(derandomize=True, max_examples=200, deadline=None)
     @given(PAIR_PARTS, ANGLES, ANGLES)
     def test_matches_sequential_reference(self, parts, angle_1, angle_2):
         state = random_pair(parts)
         value = pair_correlation(state, angle_1, angle_2)
-        assert type(value) is float
+        assert isinstance(value, float)
         assert value == pytest.approx(
             sequential_pair_correlation(state, angle_1, angle_2), abs=1e-12
         )
@@ -294,12 +297,21 @@ class TestBatchedCorrelations:
             coefficient_row_correlation(state, angle_1, angle_2), abs=1e-15
         )
 
-    def test_swapped_pairs_keep_their_correlation_matrix(self):
+    @settings(derandomize=True, max_examples=300)
+    @given(st.floats(allow_nan=False, allow_infinity=False) | ANGLES)
+    def test_analyzer_rows_are_the_real_dichotomic_basis(self, angle):
+        # the batched rows are the phi = 0 analyzer's basis rows, bit for bit
+        rows = _analyzer_rows((angle,))[0]
+        matrix = dichotomic_basis(angle, 0.0, "C").matrix
+        assert rows.dtype == np.float64
+        assert rows.astype(complex).tobytes() == matrix.tobytes()
+
+    def test_swapped_pairs_keep_their_correlation_matrix(self, swap_report):
         # M is +-1 on the diagonal up to rounding, and its rounding-level
         # entries reach the last digits of the CHSH values: they must match
         # the per-pair path bit for bit
         axes = (0.0, math.pi / 4)
-        for _, pair in _swap_stage():
+        for pair in swap_report.post_states.values():
             expected = [[coefficient_row_correlation(pair, a, b) for b in axes] for a in axes]
             assert _correlation_matrix(pair).tolist() == expected
 
@@ -348,7 +360,7 @@ class TestMaxChsh:
         # angles, which are the ones the CLI has always printed
         printed = {"00": [45, 90, 67.5, 112.5], "01": [45, 90, 22.5, 157.5],
                    "10": [45, 90, 157.5, 22.5], "11": [45, 90, 112.5, 67.5]}
-        for outcome, (_, pair) in zip(BELL_OUTCOMES, _swap_stage()):
+        for outcome, pair in swap_report.post_states.items():
             m = _correlation_matrix(pair)
             _, angles = _optimal_axes(m)
             assert [float(f"{math.degrees(a):.12g}") for a in angles] == printed[outcome]

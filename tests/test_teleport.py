@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from telebell.qstate import (
     ProjectiveBasis,
@@ -26,6 +27,7 @@ from telebell.teleport import (
     PreparationSettings,
     _bell_stage,
     _checked_corrections,
+    _preparation_amplitudes,
     bell_basis,
     bob_basis,
     correction_unitary,
@@ -39,11 +41,13 @@ from reference import (
     apply_local_unitary,
     bob_rows,
     closed_form_table,
+    epr_pair,
     initial_state,
     inner_product,
     normalize,
     partial_inner,
     simulated_table,
+    tensor_product,
 )
 
 SQRT_HALF = 1 / math.sqrt(2.0)
@@ -251,7 +255,17 @@ class TestBellStage:
         for shift in EQUIVALENT_ANGLES:
             prep = PreparationSettings(*shift(beta, phi))
             expected = basis_coefficients(initial_state(prep), bell_basis(), ("B", "A"))
-            assert same_bits(_bell_stage(prep), expected)
+            assert same_bits(_bell_stage(_preparation_amplitudes(prep)), expected)
+
+    @settings(derandomize=True, max_examples=300)
+    @given(arrays(float, 8, elements=st.floats(-1e6, 1e6)))
+    def test_spectator_matches_basis_coefficients_bitwise(self, parts):
+        # with A half of a (D, A) pair, D rides along as a spectator axis:
+        # the stage gives the generic path's rows over the (D, A, B, C) state
+        pair = parts[:4] + 1j * parts[4:]
+        state = tensor_product(PureState(pair, ("D", "A")), epr_pair(("B", "C")))
+        expected = basis_coefficients(state, bell_basis(), ("B", "A"))
+        assert same_bits(_bell_stage(pair.reshape(2, 2).T), expected)
 
 
 class TestBobBasis:
@@ -320,13 +334,14 @@ class TestClosedForm:
         dist = joint_distribution_closed_form(
             PreparationSettings(np.pi / 4, 0.0), AnalyzerSettings(np.pi / 4, 0.0)
         )
-        assert dist.probability("00", "0") == pytest.approx(0.25, abs=1e-12)
-        assert dist.probability("00", "1") == pytest.approx(0.0, abs=1e-12)
-        assert dist.probability("01", "0") == pytest.approx(0.25, abs=1e-12)
-        assert dist.probability("10", "1") == pytest.approx(0.25, abs=1e-12)
-        assert dist.probability("11", "1") == pytest.approx(0.25, abs=1e-12)
-        assert dist.probability("10", "0") == pytest.approx(0.0, abs=1e-12)
-        assert dist.probability("11", "0") == pytest.approx(0.0, abs=1e-12)
+        # rows are Bell outcomes 00, 01, 10, 11; columns analyzer outcomes 0, 1
+        assert dist.table[0, 0] == pytest.approx(0.25, abs=1e-12)
+        assert dist.table[0, 1] == pytest.approx(0.0, abs=1e-12)
+        assert dist.table[1, 0] == pytest.approx(0.25, abs=1e-12)
+        assert dist.table[2, 1] == pytest.approx(0.25, abs=1e-12)
+        assert dist.table[3, 1] == pytest.approx(0.25, abs=1e-12)
+        assert dist.table[2, 0] == pytest.approx(0.0, abs=1e-12)
+        assert dist.table[3, 0] == pytest.approx(0.0, abs=1e-12)
 
     def test_degenerate_beta_kills_phase_dependence(self):
         analyzer = AnalyzerSettings(0.9, 0.3)
@@ -388,7 +403,7 @@ class TestSimulated:
         dist = joint_distribution_simulated(
             PreparationSettings(np.pi / 4, 0.0), AnalyzerSettings(np.pi / 4, np.pi)
         )
-        assert dist.probability("00", "0") == pytest.approx(0.0, abs=1e-12)
+        assert dist.table[0, 0] == pytest.approx(0.0, abs=1e-12)
 
     def test_alice_marginal_flat(self):
         rng = np.random.default_rng(61)
@@ -490,7 +505,7 @@ class TestJointDistribution:
     def test_clamps_rounding_residue(self):
         table = np.full((4, 2), 0.125)
         table[0, 0] = -1e-14
-        assert JointDistribution(table).probability("00", "0") == 0.0
+        assert JointDistribution(table).table[0, 0] == 0.0
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_rejects_non_finite_entry(self, bad):
@@ -514,7 +529,7 @@ class TestJointDistribution:
         table = np.full((4, 2), 0.125)
         dist = JointDistribution(table)
         table[0, 0] = 0.5
-        assert dist.probability("00", "0") == 0.125
+        assert dist.table[0, 0] == 0.125
         assert not dist.table.flags.writeable
 
     def test_rejects_complex_table(self):
@@ -523,13 +538,6 @@ class TestJointDistribution:
             JointDistribution(np.full((4, 2), 0.125) + 0.5j)
         with pytest.raises(ValueError, match="real"):
             JointDistribution(np.full((4, 2), 0.125 + 0j))
-
-    def test_unknown_outcome_labels(self):
-        dist = JointDistribution(np.full((4, 2), 0.125))
-        with pytest.raises(ValueError, match="Bell outcome"):
-            dist.probability("02", "0")
-        with pytest.raises(ValueError, match="analyzer outcome"):
-            dist.probability("00", "2")
 
 
 class TestCorrections:
@@ -540,7 +548,7 @@ class TestCorrections:
         assert np.allclose(correction_unitary("11"), np.diag([1.0, -1.0]))
 
     def test_unknown_outcome(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="unknown Bell outcome '22'"):
             correction_unitary("22")
 
     def test_nan_correction_rejected(self):
