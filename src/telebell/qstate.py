@@ -16,7 +16,7 @@ Conventions
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import sqrt
+from math import isfinite, sqrt
 
 import numpy as np
 
@@ -39,8 +39,11 @@ __all__ = [
 def clamp_probability(p: float) -> float:
     """Clamp tiny negative rounding residue to zero.
 
-    Values below ``-ATOL`` are treated as genuine errors, not noise.
+    Values below ``-ATOL`` are treated as genuine errors, not noise, and so
+    are nan and infinities.
     """
+    if not isfinite(p):
+        raise ValueError(f"probability {p!r} is not finite")
     if p < -ATOL:
         raise ValueError(f"negative probability {p!r} exceeds rounding tolerance")
     return 0.0 if p < 0.0 else float(p)

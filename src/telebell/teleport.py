@@ -190,6 +190,18 @@ def bell_basis() -> ProjectiveBasis:
     return _BELL_BASIS
 
 
+def _analyzer_operand(beta: float, phi: float) -> np.ndarray:
+    """The dichotomic analyzer's conjugated states as the columns of one (2, 2) array.
+
+    Outcome "0" is ``cos(beta)|0> + sin(beta) e^{i phi}|1>``, outcome "1" the
+    orthogonal ``-sin(beta)|0> + cos(beta) e^{i phi}|1>``; column k holds
+    state k conjugated, so a row ``r`` of amplitudes times this C-contiguous
+    array is the pair of coefficients ``<a_k|r>``.
+    """
+    c, s, phase = cos(beta), sin(beta), np.exp(1j * phi)
+    return np.array([[c, -s], [s * phase, c * phase]]).conj()
+
+
 def dichotomic_basis(beta: float, phi: float, label: str) -> ProjectiveBasis:
     """Two-outcome analyzer basis on one labelled qubit.
 
@@ -199,18 +211,20 @@ def dichotomic_basis(beta: float, phi: float, label: str) -> ProjectiveBasis:
     """
     if not (isfinite(beta) and isfinite(phi)):
         raise ValueError("angles must be finite")
-    # cos and sin of finite angles are finite complex amplitudes, so the
-    # states skip PureState's copy and finiteness check.  The basis skips
-    # ProjectiveBasis's Gram check: with c = cos(beta), s = sin(beta) and
-    # |e^{i phi}| = 1, the Gram entries are c^2 + s^2 = 1 on the diagonal and
-    # c s (|e^{i phi}|^2 - 1) = 0 off it, so only rounding remains.  The
-    # largest residual found over 40k pairs, subnormal angles and +-1.8e308
-    # included, was 4.4e-16 (2 ulp), far inside the 1e-12 tolerance.
-    phase = np.exp(1j * phi)
+    # The states are the columns of ``_analyzer_operand``, the one place the
+    # analyzer is written down, conjugated back: conjugation only flips the
+    # sign of the imaginary parts, so they carry the bits the oracle's operand
+    # is built from.  cos and sin of finite angles are finite complex
+    # amplitudes, so the states skip PureState's copy and finiteness check.
+    # The basis skips ProjectiveBasis's Gram check: with c = cos(beta),
+    # s = sin(beta) and |e^{i phi}| = 1, the Gram entries are c^2 + s^2 = 1 on
+    # the diagonal and c s (|e^{i phi}|^2 - 1) = 0 off it, so only rounding
+    # remains.  The largest residual found over 40k pairs, subnormal angles
+    # and +-1.8e308 included, was 4.4e-16 (2 ulp), far inside the 1e-12
+    # tolerance.
     labels = (label,)
-    zero = _trusted_state(np.array([cos(beta), sin(beta) * phase]), labels)
-    one = _trusted_state(np.array([-sin(beta), cos(beta) * phase]), labels)
-    return _trusted_basis((zero, one), BOB_OUTCOMES)
+    zero, one = _analyzer_operand(beta, phi).conj().T.copy()
+    return _trusted_basis((_trusted_state(zero, labels), _trusted_state(one, labels)), BOB_OUTCOMES)
 
 
 def bob_basis(analyzer: AnalyzerSettings) -> ProjectiveBasis:
@@ -260,7 +274,7 @@ def _bell_outcomes(amp: np.ndarray) -> list[tuple[str, float, np.ndarray]]:
     results = []
     for outcome, row in zip(BELL_OUTCOMES, _bell_stage(amp)):
         p = clamp_probability(float(np.vdot(row, row).real))
-        if p < PROB_FLOOR:
+        if not (p >= PROB_FLOOR):
             raise RuntimeError(f"Bell outcome {outcome} unexpectedly has zero probability")
         results.append((outcome, p, row))
     return results
@@ -272,10 +286,12 @@ def joint_distribution_simulated(
     """Born-rule oracle: measure the Bell basis on (B, A), then Bob's on C.
 
     Entry (j, k) is ``|<a_k|r_j>|^2`` for Bell-stage row ``r_j`` and Bob's
-    basis state ``a_k``.  Independent of the closed form; the two must
-    agree within 1e-12.
+    analyzer state ``a_k``: the Bell stage's rows times the analyzer operand,
+    built from the angles with no basis object.  Independent of the closed
+    form; the two must agree within 1e-12.
     """
-    amplitudes = _bell_stage(_preparation_amplitudes(prep)) @ bob_basis(analyzer)._matrix_conj.T
+    operand = _analyzer_operand(analyzer.beta, analyzer.phi)
+    amplitudes = _bell_stage(_preparation_amplitudes(prep)) @ operand
     return JointDistribution(np.abs(amplitudes) ** 2).validate()
 
 

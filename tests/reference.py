@@ -7,6 +7,7 @@ path needs, live here too.
 """
 
 import math
+from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np
@@ -215,3 +216,16 @@ def correlation_from_distribution(dist):
     """Average of Bob's sign times Alice's vector under the joint distribution."""
     signed = dist.table @ BOB_SIGNS
     return ALICE_VECTORS.T @ signed
+
+
+def tolerance_edge(center, tol, side):
+    """The float farthest from ``center`` on ``side`` (+1 or -1) that lies
+    within ``tol`` of it in exact arithmetic: the last value a check
+    ``abs(x - center) <= tol`` accepts; one ulp further out, it must refuse."""
+    outward = math.copysign(math.inf, side)
+    x, limit = center + side * tol, Fraction(tol)
+    while abs(Fraction(x) - Fraction(center)) > limit:
+        x = math.nextafter(x, center)
+    while abs(Fraction(math.nextafter(x, outward)) - Fraction(center)) <= limit:
+        x = math.nextafter(x, outward)
+    return x

@@ -1,6 +1,7 @@
 """Tests for the labelled state-vector engine."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from reference import (
     partial_inner,
     pure_state_amplitudes,
     tensor_product,
+    tolerance_edge,
 )
 
 
@@ -464,3 +466,34 @@ def test_clamp_probability():
     assert clamp_probability(0.3) == 0.3
     with pytest.raises(ValueError):
         clamp_probability(-1e-11)
+
+
+def test_clamp_probability_edge():
+    # -ATOL itself is rounding residue; one ulp below it is an error
+    assert clamp_probability(-ATOL) == 0.0
+    assert clamp_probability(math.nextafter(-ATOL, 0.0)) == 0.0
+    with pytest.raises(ValueError, match="exceeds rounding tolerance"):
+        clamp_probability(math.nextafter(-ATOL, -1.0))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_clamp_probability_refuses_non_finite(bad):
+    # a NaN passes every `p < bound` test; it is refused before any of them
+    with pytest.raises(ValueError, match="not finite"):
+        clamp_probability(bad)
+
+
+class TestIsUnitEdge:
+    # norm_sq - 1 is exact near 1, so no norm lies at exactly ATOL: the last
+    # value accepted on each side is the one tolerance_edge finds
+    @pytest.mark.parametrize("side", [1, -1])
+    def test_last_norm_inside_and_first_outside(self, monkeypatch, side):
+        edge = tolerance_edge(1.0, ATOL, side)
+        state = PureState(np.array([1.0, 0.0]), ("A",))
+        for norm_sq, unit in (
+            (math.nextafter(edge, 1.0), True),
+            (edge, True),
+            (math.nextafter(edge, side * math.inf), False),
+        ):
+            monkeypatch.setattr(PureState, "norm_sq", property(lambda self, v=norm_sq: v))
+            assert state.is_unit() is unit

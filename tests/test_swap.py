@@ -29,7 +29,14 @@ from telebell.swap import (
 )
 from telebell.teleport import BELL_OUTCOMES, bell_basis, dichotomic_basis
 
-from reference import inner_product, normalize, partial_inner, swap_initial_state, tensor_product
+from reference import (
+    inner_product,
+    normalize,
+    partial_inner,
+    swap_initial_state,
+    tensor_product,
+    tolerance_edge,
+)
 from reference import reduced_purity as trace_form_purity
 
 # Real and imaginary parts of a random 2-qubit state, away from zero.
@@ -429,6 +436,67 @@ class TestMaxChsh:
         with mock.patch.object(np.linalg, "svd", degenerate_svd), np.errstate(all="ignore"):
             with pytest.raises(RuntimeError, match="not orthogonal"):
                 _optimal_axes(m)
+
+
+class TestBoundEdges:
+    # each check at exactly its bound, one ulp inside and one ulp outside;
+    # the Born-rule values are patched in, so only the checks are under test
+    OPTIMAL_ANGLES = (0.0, math.pi / 4, math.pi / 8, 3 * math.pi / 8)
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_chsh_on_pair_bound(self, sign):
+        bound = TSIRELSON_BOUND + 1e-12
+        state = analytic_post_state("00")
+        for s, valid in (
+            (math.nextafter(bound, 0.0), True),
+            (bound, True),
+            (math.nextafter(bound, math.inf), False),
+        ):
+            e = np.array([sign * s, 0.0, 0.0, 0.0])
+            with mock.patch("telebell.swap._correlations", lambda *args, e=e: e):
+                if valid:
+                    assert chsh_on_pair(state, self.OPTIMAL_ANGLES) == sign * s
+                else:
+                    with pytest.raises(RuntimeError, match="quantum bound"):
+                        chsh_on_pair(state, self.OPTIMAL_ANGLES)
+
+    def max_chsh_with(self, closed_form_value, born_value):
+        def optimum(m):
+            return closed_form_value, self.OPTIMAL_ANGLES
+
+        with mock.patch("telebell.swap._optimal_axes", optimum), mock.patch(
+            "telebell.swap.chsh_on_pair", lambda state, angles: born_value
+        ):
+            return max_chsh(analytic_post_state("00"))
+
+    def test_max_chsh_bound(self):
+        bound = TSIRELSON_BOUND + 1e-9
+        inside, above = math.nextafter(bound, 0.0), math.nextafter(bound, math.inf)
+        for value in (inside, bound):
+            assert self.max_chsh_with(value, value).value == value
+        for closed_form_value, born_value in ((above, bound), (bound, above)):
+            with pytest.raises(RuntimeError, match="exceeds the quantum bound"):
+                self.max_chsh_with(closed_form_value, born_value)
+
+    @pytest.mark.parametrize("center", [0.0, 2.0])
+    @pytest.mark.parametrize("side", [1, -1])
+    def test_max_chsh_closed_form_agreement(self, center, side):
+        # about 0 the difference can be exactly 1e-9; about 2, a difference
+        # is exact but no multiple of its ulp is 1e-9
+        edge = tolerance_edge(center, 1e-9, side)
+        if center == 0.0:
+            assert edge == side * 1e-9
+        for value, valid in (
+            (math.nextafter(edge, center), True),
+            (edge, True),
+            (math.nextafter(edge, side * math.inf), False),
+        ):
+            for closed_form_value, born_value in ((value, center), (center, value)):
+                if valid:
+                    assert self.max_chsh_with(closed_form_value, born_value).value == born_value
+                else:
+                    with pytest.raises(RuntimeError, match="misses the closed-form optimum"):
+                        self.max_chsh_with(closed_form_value, born_value)
 
 
 class TestSingleOutcomeSubensemble:

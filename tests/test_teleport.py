@@ -11,7 +11,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from telebell import qstate, teleport
 from telebell.qstate import (
+    ATOL,
+    PROB_FLOOR,
     ProjectiveBasis,
     PureState,
     _trusted_basis,
@@ -25,6 +28,8 @@ from telebell.teleport import (
     AnalyzerSettings,
     JointDistribution,
     PreparationSettings,
+    _analyzer_operand,
+    _bell_outcomes,
     _bell_stage,
     _checked_corrections,
     _preparation_amplitudes,
@@ -48,6 +53,7 @@ from reference import (
     partial_inner,
     simulated_table,
     tensor_product,
+    tolerance_edge,
 )
 
 SQRT_HALF = 1 / math.sqrt(2.0)
@@ -128,6 +134,15 @@ class TestSettings:
             pair = cls(0.3, -1.2)
             assert pair.beta == 0.3
             assert pair.phi == -1.2
+
+    @pytest.mark.parametrize("cls", SETTINGS_CLASSES)
+    @pytest.mark.parametrize("beta", [math.pi, -math.pi])
+    @pytest.mark.parametrize("phi", [0.3, -1.2, 0.0, math.pi])
+    def test_beta_pi_is_zero_with_the_same_phase(self, cls, beta, phi):
+        # beta = pi is a global sign of beta = 0; the reduction must land on
+        # (0, phi), not on the other representative (0, phi + pi)
+        pair = cls(beta, phi)
+        assert (pair.beta, pair.phi) == (0.0, phi)
 
     def test_non_finite_rejected(self):
         for cls in SETTINGS_CLASSES:
@@ -329,6 +344,40 @@ class TestTrustedAnalyzerBasis:
                 array[0, 0] = 0.0
 
 
+class TestAnalyzerOperand:
+    # the oracle multiplies the Bell stage's rows by this operand, built from
+    # the angles; bob_basis stays the public basis object with the same rows
+
+    @settings(derandomize=True, max_examples=500)
+    @given(FINITE_ANGLES, FINITE_ANGLES)
+    def test_is_bob_basis_conjugated_rows_bitwise(self, beta, phi):
+        analyzer = AnalyzerSettings(beta, phi)
+        operand = _analyzer_operand(analyzer.beta, analyzer.phi)
+        assert same_bits(operand, bob_basis(analyzer)._matrix_conj.T)
+        assert operand.flags.c_contiguous
+
+    def test_oracle_builds_no_basis_or_state(self, monkeypatch):
+        rng = np.random.default_rng(83)
+        pairs = [
+            (PreparationSettings(*rng.uniform(-7, 7, 2)), AnalyzerSettings(*rng.uniform(-7, 7, 2)))
+            for _ in range(50)
+        ]
+        tables = [joint_distribution_simulated(prep, analyzer).table for prep, analyzer in pairs]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the oracle built a state or a basis")
+
+        for module in (qstate, teleport):
+            monkeypatch.setattr(module, "_trusted_basis", refuse)
+            monkeypatch.setattr(module, "_trusted_state", refuse)
+        monkeypatch.setattr(teleport, "bob_basis", refuse)
+        monkeypatch.setattr(teleport, "dichotomic_basis", refuse)
+        monkeypatch.setattr(PureState, "__post_init__", refuse)
+        monkeypatch.setattr(ProjectiveBasis, "__post_init__", refuse)
+        for (prep, analyzer), table in zip(pairs, tables):
+            assert same_bits(joint_distribution_simulated(prep, analyzer).table, table)
+
+
 class TestClosedForm:
     def test_matched_quarter_settings(self):
         dist = joint_distribution_closed_form(
@@ -491,6 +540,28 @@ class TestJointDistribution:
         with pytest.raises(ValueError, match="sum"):
             JointDistribution(np.full((4, 2), 0.2)).validate()
 
+    @pytest.mark.parametrize("side", [1, -1])
+    def test_validate_total_at_its_tolerance(self, side):
+        # three marginals a quarter of ATOL off 1/4, well inside their own
+        # check, and a fourth that makes the total each value: the sum is
+        # exact, as partial + (total - partial) with both near 1
+        edge = tolerance_edge(1.0, ATOL, side)
+        m = 0.25 + side * ATOL / 4
+        partial = m + m + m
+        for total, valid in (
+            (math.nextafter(edge, 1.0), True),
+            (edge, True),
+            (math.nextafter(edge, side * math.inf), False),
+        ):
+            table = np.array([[m, 0.0], [m, 0.0], [m, 0.0], [total - partial, 0.0]])
+            assert sum(table[:, 0].tolist()) == total
+            dist = JointDistribution(table)
+            if valid:
+                dist.validate()
+            else:
+                with pytest.raises(ValueError, match="sum to"):
+                    dist.validate()
+
     def test_validate_rejects_skewed_marginal(self):
         table = np.array([[0.5, 0.0], [0.0, 0.0], [0.25, 0.0], [0.25, 0.0]])
         with pytest.raises(ValueError, match="marginal"):
@@ -562,6 +633,27 @@ class TestCorrections:
             prep = PreparationSettings(rng.uniform(-7, 7), rng.uniform(-7, 7))
             for _, _, fidelity in run_full_teleportation(prep):
                 assert abs(fidelity - 1.0) <= 1e-12
+
+
+class TestBellOutcomes:
+    def test_nan_amplitude_refused(self):
+        with pytest.raises(ValueError, match="not finite"):
+            _bell_outcomes(np.array([np.nan, 1 + 0j]))
+
+    @pytest.mark.parametrize(
+        "p, accepted",
+        [(PROB_FLOOR, True), (math.nextafter(PROB_FLOOR, 0.0), False), (math.nan, False)],
+    )
+    def test_floor(self, monkeypatch, p, accepted):
+        # the floor itself passes, one ulp below it and a NaN do not, should
+        # a probability ever reach it unclamped
+        monkeypatch.setattr(teleport, "clamp_probability", lambda _: p)
+        amplitudes = _preparation_amplitudes(PreparationSettings(0.3, 0.7))
+        if accepted:
+            assert [q for _, q, _ in _bell_outcomes(amplitudes)] == [p] * 4
+        else:
+            with pytest.raises(RuntimeError, match="zero probability"):
+                _bell_outcomes(amplitudes)
 
 
 class TestFullProtocol:
