@@ -75,6 +75,9 @@ class DeterministicStrategy:
             len(vec) != 2 or not all(map(_is_sign, vec)) for vec in self.alice
         ):
             raise ValueError(f"alice answers must be two int sign 2-vectors, got {self.alice}")
+        # tuples, so that answers given as lists hash and compare as tuples do
+        object.__setattr__(self, "bob", tuple(self.bob))
+        object.__setattr__(self, "alice", tuple(map(tuple, self.alice)))
         # the enumeration runs over (bob -45, bob +45, alice 0, alice 90) with
         # -1 before +1 in each sign: the answers are the row's binary digits
         row = 0
@@ -184,7 +187,11 @@ class StrategyEnsemble:
         if not (abs(total - 1.0) <= 1e-12):
             raise ValueError(f"weights sum to {total!r}, not 1")
         object.__setattr__(self, "entries", entries)
-        rows = np.array([strategy.row for strategy, _ in entries], dtype=np.intp)
+        try:
+            rows = np.array([strategy.row for strategy, _ in entries], dtype=np.intp)
+        except AttributeError:
+            bad = next(s for s, _ in entries if not isinstance(s, DeterministicStrategy))
+            raise TypeError(f"ensemble entries must be DeterministicStrategy, got {bad!r}") from None
         rows.setflags(write=False)
         object.__setattr__(self, "_rows", rows)
         weights = np.array(weights)

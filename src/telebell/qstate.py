@@ -89,21 +89,6 @@ class PureState:
         return abs(self.norm_sq - 1.0) <= ATOL
 
 
-def _trusted_state(amplitudes: np.ndarray, labels: tuple[str, ...]) -> PureState:
-    """Wrap a freshly computed amplitude array without re-validation.
-
-    Internal constructor for fresh complex arrays of the right length whose
-    entries are finite by construction: this module's arithmetic on
-    already-validated states, or cos and sin of finite angles.  Skips the
-    copy and finiteness checks of the public constructor.
-    """
-    state = object.__new__(PureState)
-    amplitudes.setflags(write=False)
-    object.__setattr__(state, "amplitudes", amplitudes)
-    object.__setattr__(state, "factor_labels", labels)
-    return state
-
-
 def _kron_1d(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[:, None] * b).reshape(-1)
 
@@ -121,7 +106,6 @@ class ProjectiveBasis:
     states: tuple[PureState, ...]
     outcome_labels: tuple[str, ...]
     matrix: np.ndarray = field(init=False, repr=False)
-    _matrix_conj: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         states = tuple(self.states)
@@ -136,42 +120,18 @@ class ProjectiveBasis:
             raise ValueError(f"basis must span the subspace: need {dim} states, got {len(states)}")
         if len(labels) != len(states) or len(set(labels)) != len(labels):
             raise ValueError("need one distinct outcome label per basis state")
-        _set_basis_fields(self, states, labels)
+        matrix = np.array([s.amplitudes for s in states])
         # written so that a NaN residual (an overflowed Gram entry) fails too
-        if not (np.abs(self._matrix_conj @ self.matrix.T - np.eye(dim)).max() <= ATOL):
+        if not (np.abs(matrix.conj() @ matrix.T - np.eye(dim)).max() <= ATOL):
             raise ValueError("basis states are not orthonormal within tolerance")
+        matrix.setflags(write=False)
+        object.__setattr__(self, "states", states)
+        object.__setattr__(self, "outcome_labels", labels)
+        object.__setattr__(self, "matrix", matrix)
 
     @property
     def subsystem_labels(self) -> tuple[str, ...]:
         return self.states[0].factor_labels
-
-
-def _trusted_basis(states: tuple[PureState, ...], labels: tuple[str, ...]) -> ProjectiveBasis:
-    """Wrap states that form an orthonormal basis by construction, without re-checking them.
-
-    The basis counterpart of ``_trusted_state``, for a tuple of states on one
-    subsystem, as many as its dimension, whose orthonormality follows from
-    how they were built, with one distinct label each.  Sets its fields as
-    the public constructor does, with the same bits, but runs no Gram
-    product and no label or dimension check.
-    """
-    basis = object.__new__(ProjectiveBasis)
-    _set_basis_fields(basis, states, labels)
-    return basis
-
-
-def _set_basis_fields(
-    basis: ProjectiveBasis, states: tuple[PureState, ...], labels: tuple[str, ...]
-) -> None:
-    """Set ``basis``'s fields: states, labels, amplitude rows and their conjugate, read-only."""
-    matrix = np.array([s.amplitudes for s in states])
-    matrix_conj = matrix.conj()
-    matrix.setflags(write=False)
-    matrix_conj.setflags(write=False)
-    object.__setattr__(basis, "states", states)
-    object.__setattr__(basis, "outcome_labels", labels)
-    object.__setattr__(basis, "matrix", matrix)
-    object.__setattr__(basis, "_matrix_conj", matrix_conj)
 
 
 def _front_permutation(state: PureState, front_labels: tuple[str, ...]) -> tuple[list[int], tuple[str, ...]]:
@@ -210,7 +170,7 @@ def basis_coefficients(state: PureState, basis: ProjectiveBasis, measured_labels
             f"basis lives on {basis.subsystem_labels}, measurement requested on {measured}"
         )
     mat, _ = _front_matrix(state, measured)
-    return basis._matrix_conj @ mat
+    return basis.matrix.conj() @ mat
 
 
 def measure_probabilities(
@@ -247,6 +207,6 @@ def measure_probabilities(
             residual = coeffs[j] / sqrt(p)
             full = _kron_1d(basis.states[j].amplitudes, residual)
             full = full.reshape([2] * n).transpose(inverse).reshape(-1)
-            post = _trusted_state(full, state.factor_labels)
+            post = PureState(full, state.factor_labels)
         results.append((outcome, p, post))
     return results

@@ -27,8 +27,6 @@ from .qstate import (
     PROB_FLOOR,
     ProjectiveBasis,
     PureState,
-    _trusted_basis,
-    _trusted_state,
     clamp_probability,
 )
 
@@ -179,7 +177,8 @@ _BELL_BASIS = _bell_basis()
 # (|00> + |11>)/sqrt(2) as a (2, 2) amplitude matrix, rows indexed by its
 # first qubit, with its (B, A, D, C) view that broadcasts against A's
 # amplitudes: B of the (B, C) pair along the first axis, C along the last.
-_BELL_CONJ = _BELL_BASIS._matrix_conj
+_BELL_CONJ = _BELL_BASIS.matrix.conj()
+_BELL_CONJ.setflags(write=False)
 _EPR = np.array(np.array([1.0, 0.0, 0.0, 1.0]) / sqrt(2.0), dtype=complex).reshape(2, 2)
 _EPR.setflags(write=False)
 _EPR_B11C = _EPR.reshape(2, 1, 1, 2)
@@ -211,20 +210,9 @@ def dichotomic_basis(beta: float, phi: float, label: str) -> ProjectiveBasis:
     """
     if not (isfinite(beta) and isfinite(phi)):
         raise ValueError("angles must be finite")
-    # The states are the columns of ``_analyzer_operand``, the one place the
-    # analyzer is written down, conjugated back: conjugation only flips the
-    # sign of the imaginary parts, so they carry the bits the oracle's operand
-    # is built from.  cos and sin of finite angles are finite complex
-    # amplitudes, so the states skip PureState's copy and finiteness check.
-    # The basis skips ProjectiveBasis's Gram check: with c = cos(beta),
-    # s = sin(beta) and |e^{i phi}| = 1, the Gram entries are c^2 + s^2 = 1 on
-    # the diagonal and c s (|e^{i phi}|^2 - 1) = 0 off it, so only rounding
-    # remains.  The largest residual found over 40k pairs, subnormal angles
-    # and +-1.8e308 included, was 4.4e-16 (2 ulp), far inside the 1e-12
-    # tolerance.
-    labels = (label,)
-    zero, one = _analyzer_operand(beta, phi).conj().T.copy()
-    return _trusted_basis((_trusted_state(zero, labels), _trusted_state(one, labels)), BOB_OUTCOMES)
+    # the states are the columns of ``_analyzer_operand``, conjugated back
+    zero, one = _analyzer_operand(beta, phi).conj().T
+    return ProjectiveBasis((PureState(zero, (label,)), PureState(one, (label,))), BOB_OUTCOMES)
 
 
 def bob_basis(analyzer: AnalyzerSettings) -> ProjectiveBasis:

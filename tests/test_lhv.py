@@ -110,6 +110,15 @@ class TestDeterministicStrategy:
             assert all(type(v) is int and v in (-1, 1) for v in answers)
             assert enumerate_strategies()[s.row] == s
 
+    def test_list_answers_equal_tuple_answers(self):
+        from_lists = DeterministicStrategy([1, -1], [[1, 1], [1, 1]])
+        from_tuples = DeterministicStrategy((1, -1), ((1, 1), (1, 1)))
+        assert from_lists == from_tuples
+        assert hash(from_lists) == hash(from_tuples)
+        assert from_lists.row == from_tuples.row == 47
+        assert from_lists.bob == (1, -1) and from_lists.alice == ((1, 1), (1, 1))
+        assert from_lists in enumerate_strategies()
+
     def test_setting_lookup(self):
         s = DeterministicStrategy(bob=(-1, 1), alice=((-1, -1), (1, 1)))
         assert s.bob_value(-45.0) == -1
@@ -403,6 +412,12 @@ class TestStrategyEnsemble:
         strategies = enumerate_strategies()
         with pytest.raises(ValueError, match="nonnegative"):
             StrategyEnsemble(((strategies[0], -0.5), (strategies[1], 1.5)))
+
+    @pytest.mark.parametrize("bad", ["x", None, 3])
+    def test_non_strategy_entry_refused(self, bad):
+        entries = ((all_plus(), 0.5), (bad, 0.5))
+        with pytest.raises(TypeError, match=f"DeterministicStrategy, got {bad!r}"):
+            StrategyEnsemble(entries)
 
     def test_overflowing_weight_sum_refused(self):
         strategies = enumerate_strategies()

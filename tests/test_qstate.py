@@ -355,7 +355,8 @@ class TestProjectiveBasisChecks:
         basis = random_basis(np.random.default_rng(seed), LABELS[:n])
         stacked = np.stack([s.amplitudes for s in basis.states])
         assert same_bits(basis.matrix, stacked)
-        assert same_bits(basis._matrix_conj, stacked.conj())
+        with pytest.raises(ValueError, match="read-only"):
+            basis.matrix[0, 0] = 0.0
 
 
 class TestBasisCoefficients:

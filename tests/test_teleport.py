@@ -11,13 +11,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from telebell import qstate, teleport
+from telebell import teleport
 from telebell.qstate import (
     ATOL,
     PROB_FLOOR,
     ProjectiveBasis,
     PureState,
-    _trusted_basis,
     basis_coefficients,
     measure_probabilities,
 )
@@ -260,6 +259,12 @@ class TestBellBasis:
     def test_is_one_constant(self):
         assert bell_basis() is bell_basis()
 
+    def test_stage_operand_is_conjugated_matrix_bitwise(self):
+        # the Bell stage's fixed operand, built once at import
+        assert same_bits(teleport._BELL_CONJ, bell_basis().matrix.conj())
+        assert teleport._BELL_CONJ.flags.c_contiguous
+        assert not teleport._BELL_CONJ.flags.writeable
+
 
 class TestBellStage:
     @settings(derandomize=True, max_examples=300)
@@ -320,28 +325,16 @@ FINITE_ANGLES = (
 )
 
 
-class TestTrustedAnalyzerBasis:
-    # dichotomic_basis builds its basis without ProjectiveBasis's Gram check;
-    # these pin why that check could not fail and that nothing else changed
+class TestAnalyzerBasisGram:
+    # dichotomic_basis returns a checked ProjectiveBasis: the Gram residual of
+    # its states stays far inside the 1e-12 tolerance for every finite angle
+    # pair, so the check never refuses one
 
     @settings(derandomize=True, max_examples=500)
     @given(FINITE_ANGLES, FINITE_ANGLES)
-    def test_orthonormal_by_construction(self, beta, phi):
+    def test_orthonormal_for_every_finite_pair(self, beta, phi):
         matrix = dichotomic_basis(beta, phi, "C").matrix
         assert np.abs(matrix.conj() @ matrix.T - np.eye(2)).max() <= 1e-15
-
-    @settings(derandomize=True, max_examples=300)
-    @given(FINITE_ANGLES, FINITE_ANGLES)
-    def test_matches_checked_basis_bitwise(self, beta, phi):
-        states, labels = dichotomic_basis(beta, phi, "C").states, BOB_OUTCOMES
-        trusted, checked = _trusted_basis(states, labels), ProjectiveBasis(states, labels)
-        assert same_bits(trusted.matrix, checked.matrix)
-        assert same_bits(trusted._matrix_conj, checked._matrix_conj)
-        assert trusted.states == checked.states
-        assert trusted.outcome_labels == checked.outcome_labels
-        for array in (trusted.matrix, trusted._matrix_conj):
-            with pytest.raises(ValueError, match="read-only"):
-                array[0, 0] = 0.0
 
 
 class TestAnalyzerOperand:
@@ -353,7 +346,7 @@ class TestAnalyzerOperand:
     def test_is_bob_basis_conjugated_rows_bitwise(self, beta, phi):
         analyzer = AnalyzerSettings(beta, phi)
         operand = _analyzer_operand(analyzer.beta, analyzer.phi)
-        assert same_bits(operand, bob_basis(analyzer)._matrix_conj.T)
+        assert same_bits(operand, bob_basis(analyzer).matrix.conj().T)
         assert operand.flags.c_contiguous
 
     def test_oracle_builds_no_basis_or_state(self, monkeypatch):
@@ -367,9 +360,6 @@ class TestAnalyzerOperand:
         def refuse(*args, **kwargs):
             raise AssertionError("the oracle built a state or a basis")
 
-        for module in (qstate, teleport):
-            monkeypatch.setattr(module, "_trusted_basis", refuse)
-            monkeypatch.setattr(module, "_trusted_state", refuse)
         monkeypatch.setattr(teleport, "bob_basis", refuse)
         monkeypatch.setattr(teleport, "dichotomic_basis", refuse)
         monkeypatch.setattr(PureState, "__post_init__", refuse)
@@ -509,15 +499,13 @@ class TestSimulated:
     @settings(derandomize=True, max_examples=300)
     @given(ANGLES, ANGLES, ANGLES, ANGLES)
     def test_table_matches_reconjugated_rows_bitwise(self, beta, phi, beta_prime, phi_prime):
-        # Bob's basis, built from unchecked states, has the rows of the
-        # validated reference, and its stored conjugated rows give the bits
-        # of conjugating those rows again
+        # Bob's basis has the rows of the independent reference, and the
+        # oracle's table the reference's bits
         for shift in EQUIVALENT_ANGLES:
             prep = PreparationSettings(*shift(beta, phi))
             analyzer = AnalyzerSettings(*shift(beta_prime, phi_prime))
             basis, rows = bob_basis(analyzer), bob_rows(analyzer)
             assert same_bits(basis.matrix, rows)
-            assert same_bits(basis._matrix_conj, rows.conj())
             table = joint_distribution_simulated(prep, analyzer).table
             assert same_bits(table, simulated_table(prep, analyzer))
 
