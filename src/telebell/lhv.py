@@ -173,7 +173,8 @@ class StrategyEnsemble:
     _weights: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        entries = tuple((strategy, float(weight)) for strategy, weight in self.entries)
+        # from a list, not a generator: cheaper at the sizes a mixture has
+        entries = tuple([(strategy, float(weight)) for strategy, weight in self.entries])
         if not entries:
             raise ValueError("ensemble needs at least one strategy")
         weights = [weight for _, weight in entries]
@@ -187,11 +188,13 @@ class StrategyEnsemble:
         if not (abs(total - 1.0) <= 1e-12):
             raise ValueError(f"weights sum to {total!r}, not 1")
         object.__setattr__(self, "entries", entries)
-        try:
-            rows = np.array([strategy.row for strategy, _ in entries], dtype=np.intp)
-        except AttributeError:
+        # the type check in the row gather is the range check too: only a
+        # DeterministicStrategy's row is certain to be one of the 64
+        rows = [s.row for s, _ in entries if isinstance(s, DeterministicStrategy)]
+        if len(rows) != len(entries):
             bad = next(s for s, _ in entries if not isinstance(s, DeterministicStrategy))
-            raise TypeError(f"ensemble entries must be DeterministicStrategy, got {bad!r}") from None
+            raise TypeError(f"ensemble entries must be DeterministicStrategy, got {bad!r}")
+        rows = np.array(rows, dtype=np.intp)
         rows.setflags(write=False)
         object.__setattr__(self, "_rows", rows)
         weights = np.array(weights)

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import cos, degrees, isfinite, pi, radians, sin, sqrt
-from operator import add
 
 import numpy as np
 
@@ -29,6 +28,8 @@ from .qstate import (
     PureState,
     clamp_probability,
 )
+
+_FLOAT64 = np.dtype(np.float64)
 
 BELL_OUTCOMES = ("00", "01", "10", "11")
 BOB_OUTCOMES = ("0", "1")
@@ -76,15 +77,17 @@ def _canonical_angles(beta: float, phi: float) -> tuple[float, float]:
     return b, _wrap_phase(phi)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class _AnglePair:
     """A (beta, phi) pair in radians, reduced to its canonical representative."""
 
     beta: float
     phi: float
 
-    def __post_init__(self) -> None:
-        beta, phi = _canonical_angles(self.beta, self.phi)
+    # its own ``__init__``, so that each field is written once, with the
+    # reduced angle
+    def __init__(self, beta: float, phi: float) -> None:
+        beta, phi = _canonical_angles(beta, phi)
         object.__setattr__(self, "beta", beta)
         object.__setattr__(self, "phi", phi)
 
@@ -108,7 +111,7 @@ class AnalyzerSettings(_AnglePair):
     """Angles (beta', phi') of Bob's dichotomic analyzer, as ``beta`` and ``phi``, in radians."""
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class JointDistribution:
     """The eight joint probabilities P(bell outcome, analyzer outcome).
 
@@ -122,11 +125,15 @@ class JointDistribution:
     _largest: float = field(init=False, repr=False)
     _marginal: tuple[float, ...] = field(init=False, repr=False)
 
-    def __post_init__(self) -> None:
-        # refused, not cast: a cast to float would drop the imaginary parts
-        if np.asarray(self.table).dtype.kind == "c":
-            raise ValueError("probabilities must be real, got a complex table")
-        table = np.array(self.table, dtype=float)
+    def __init__(self, table) -> None:
+        if type(table) is np.ndarray and table.dtype is _FLOAT64:
+            # what ``np.array(table, dtype=float)`` does with a float64 array
+            table = table.copy(order="K")
+        else:
+            # refused, not cast: a cast to float would drop the imaginary parts
+            if np.asarray(table).dtype.kind == "c":
+                raise ValueError("probabilities must be real, got a complex table")
+            table = np.array(table, dtype=float)
         if table.shape != (4, 2):
             raise ValueError(f"expected a (4, 2) probability table, got shape {table.shape}")
         # the checks run on the eight entries as plain floats: cheaper than
@@ -141,9 +148,10 @@ class JointDistribution:
             entries = [0.0 if p < 0.0 else p for p in entries]
             table = np.array(entries).reshape(4, 2)
         table.setflags(write=False)
+        e0, e1, e2, e3, e4, e5, e6, e7 = entries
         object.__setattr__(self, "table", table)
         object.__setattr__(self, "_largest", max(entries))
-        object.__setattr__(self, "_marginal", tuple(map(add, entries[0::2], entries[1::2])))
+        object.__setattr__(self, "_marginal", (e0 + e1, e2 + e3, e4 + e5, e6 + e7))
 
     def validate(self) -> "JointDistribution":
         if not (self._largest <= 1.0 + ATOL):
@@ -151,7 +159,14 @@ class JointDistribution:
         total = sum(self._marginal)
         if not (abs(total - 1.0) <= ATOL):
             raise ValueError(f"probabilities sum to {total!r}, not 1")
-        if not all(abs(m - 0.25) <= ATOL for m in self._marginal):
+        m0, m1, m2, m3 = self._marginal
+        # a NaN fails every comparison, so it is refused here too
+        if not (
+            abs(m0 - 0.25) <= ATOL
+            and abs(m1 - 0.25) <= ATOL
+            and abs(m2 - 0.25) <= ATOL
+            and abs(m3 - 0.25) <= ATOL
+        ):
             raise ValueError(f"Bell-outcome marginal {self._marginal!r} is not flat 1/4")
         return self
 
@@ -228,13 +243,12 @@ def joint_distribution_closed_form(
     ss = sin(2.0 * prep.beta) * sin(2.0 * analyzer.beta)
     minus = cos(prep.phi - analyzer.phi)
     plus = cos(prep.phi + analyzer.phi)
-    p_zero = (
-        (1.0 - cc + ss * minus) / 8.0,
-        (1.0 + cc + ss * plus) / 8.0,
-        (1.0 + cc - ss * plus) / 8.0,
-        (1.0 - cc - ss * minus) / 8.0,
-    )
-    table = np.array([(p, 0.25 - p) for p in p_zero])
+    # P(j, "0") for each Bell outcome j; P(j, "1") is the rest of its 1/4
+    p0 = (1.0 - cc + ss * minus) / 8.0
+    p1 = (1.0 + cc + ss * plus) / 8.0
+    p2 = (1.0 + cc - ss * plus) / 8.0
+    p3 = (1.0 - cc - ss * minus) / 8.0
+    table = np.array([p0, 0.25 - p0, p1, 0.25 - p1, p2, 0.25 - p2, p3, 0.25 - p3]).reshape(4, 2)
     return JointDistribution(table).validate()
 
 

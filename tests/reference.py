@@ -15,7 +15,7 @@ import numpy as np
 from telebell.corrvec import correlation_closed_form, standard_setting_pairs
 from telebell.lhv import STRATEGY_SIGNS
 from telebell.qstate import ATOL, MAX_QUBITS, PROB_FLOOR, PureState, _front_matrix
-from telebell.teleport import BOB_OUTCOMES, JointDistribution, _bell_stage, _preparation_amplitudes
+from telebell.teleport import BOB_OUTCOMES, _bell_stage, _preparation_amplitudes
 
 
 def tensor_product(a, b):
@@ -94,6 +94,41 @@ def basis_matrix(states, outcome_labels):
     return matrix
 
 
+def checked_table(table):
+    """``JointDistribution``'s construction with numpy reductions: its
+    ``table``, ``_largest`` and ``_marginal``, refused where it refuses, with
+    the same message.  The clamped table is a new C-ordered array; any other
+    is ``np.array(table, dtype=float)``, with that call's layout."""
+    if np.asarray(table).dtype.kind == "c":
+        raise ValueError("probabilities must be real, got a complex table")
+    table = np.array(table, dtype=float)
+    if table.shape != (4, 2):
+        raise ValueError(f"expected a (4, 2) probability table, got shape {table.shape}")
+    if not np.isfinite(table).all():
+        raise ValueError("probabilities must be finite")
+    if table.min() < 0.0:
+        if table.min() < -ATOL:
+            raise ValueError("negative probability beyond rounding tolerance")
+        # -0.0 < 0.0 is false, so a negative zero is kept, as the library keeps it
+        table = np.ascontiguousarray(np.where(table < 0.0, 0.0, table))
+    table.setflags(write=False)
+    return table, float(table.max()), tuple(table.sum(axis=1).tolist())
+
+
+def validated_table(table):
+    """``checked_table`` followed by ``JointDistribution.validate``'s checks,
+    in its order and with its messages; the stored table."""
+    table, largest, marginal = checked_table(table)
+    if not (largest <= 1.0 + ATOL):
+        raise ValueError("probability above 1")
+    total = sum(marginal)
+    if not (abs(total - 1.0) <= ATOL):
+        raise ValueError(f"probabilities sum to {total!r}, not 1")
+    if not (np.abs(np.array(marginal) - 0.25) <= ATOL).all():
+        raise ValueError(f"Bell-outcome marginal {marginal!r} is not flat 1/4")
+    return table
+
+
 def closed_form_table(prep, analyzer):
     """The closed-form table with ``p_zero`` built as an array and iterated as numpy scalars."""
     cc = math.cos(2.0 * prep.beta) * math.cos(2.0 * analyzer.beta)
@@ -108,8 +143,7 @@ def closed_form_table(prep, analyzer):
             (1.0 - cc - ss * minus) / 8.0,
         ]
     )
-    table = np.array([(p, 0.25 - p) for p in p_zero])
-    return JointDistribution(table).validate().table
+    return validated_table(np.array([(p, 0.25 - p) for p in p_zero]))
 
 
 def bob_rows(analyzer):
@@ -130,7 +164,7 @@ def bob_rows(analyzer):
 def simulated_table(prep, analyzer):
     """The oracle's table with Bob's rows from ``bob_rows``, conjugated here."""
     amplitudes = _bell_stage(_preparation_amplitudes(prep)) @ bob_rows(analyzer).conj().T
-    return JointDistribution(np.abs(amplitudes) ** 2).validate().table
+    return validated_table(np.abs(amplitudes) ** 2)
 
 
 def extremal_bound(v):

@@ -2,6 +2,8 @@
 
 import contextlib
 import math
+import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -26,7 +28,7 @@ from telebell.lhv import (
     strategy_super_vector,
 )
 
-from reference import extremal_bound
+from reference import extremal_bound, tolerance_edge
 
 SQRT_TWO = math.sqrt(2.0)
 
@@ -413,11 +415,44 @@ class TestStrategyEnsemble:
         with pytest.raises(ValueError, match="nonnegative"):
             StrategyEnsemble(((strategies[0], -0.5), (strategies[1], 1.5)))
 
-    @pytest.mark.parametrize("bad", ["x", None, 3])
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            "x",
+            None,
+            3,
+            # a row attribute, in range or not, does not make a strategy: -1
+            # would read strategy 63, and 64 or 99 fail only at the gather
+            *(pytest.param(SimpleNamespace(row=row), id=f"row={row}") for row in (-1, 64, 99, 5)),
+        ],
+    )
     def test_non_strategy_entry_refused(self, bad):
         entries = ((all_plus(), 0.5), (bad, 0.5))
-        with pytest.raises(TypeError, match=f"DeterministicStrategy, got {bad!r}"):
+        with pytest.raises(TypeError, match=re.escape(f"DeterministicStrategy, got {bad!r}")):
             StrategyEnsemble(entries)
+
+    def test_zero_weight_allowed_and_first_bad_weight_named(self):
+        strategies = enumerate_strategies()
+        ensemble = StrategyEnsemble(((strategies[7], 1.0), (strategies[8], 0.0)))
+        assert ensemble.entries[1][1] == 0.0
+        with pytest.raises(ValueError, match=r"got -0\.5$"):
+            StrategyEnsemble(((strategies[0], 0.0), (strategies[1], -0.5), (strategies[2], 1.5)))
+
+    @pytest.mark.parametrize("side", [1, -1])
+    def test_weight_sum_at_its_tolerance(self, side):
+        # one weight, so that the fsum total is the weight itself
+        edge = tolerance_edge(1.0, 1e-12, side)
+        strategy = enumerate_strategies()[0]
+        for total, valid in (
+            (math.nextafter(edge, 1.0), True),
+            (edge, True),
+            (math.nextafter(edge, side * math.inf), False),
+        ):
+            if valid:
+                assert StrategyEnsemble(((strategy, total),)).entries[0][1] == total
+            else:
+                with pytest.raises(ValueError, match="sum to"):
+                    StrategyEnsemble(((strategy, total),))
 
     def test_overflowing_weight_sum_refused(self):
         strategies = enumerate_strategies()

@@ -44,6 +44,7 @@ from telebell.teleport import (
 from reference import (
     apply_local_unitary,
     bob_rows,
+    checked_table,
     closed_form_table,
     epr_pair,
     initial_state,
@@ -170,6 +171,18 @@ class TestSettings:
     def test_frozen(self, cls, name):
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(cls(0.3, -1.2), name, 0.0)
+
+    @pytest.mark.parametrize("cls", SETTINGS_CLASSES)
+    def test_dataclass_surface(self, cls):
+        pair = cls(7.0, 9.0)
+        assert repr(pair) == f"{cls.__name__}(beta={pair.beta!r}, phi={pair.phi!r})"
+        assert hash(pair) == hash(cls(7.0, 9.0))
+        assert dataclasses.astuple(pair) == (pair.beta, pair.phi)
+        # replace goes through the constructor, so the new angle is reduced too
+        assert dataclasses.replace(pair, phi=4.0) == cls(pair.beta, 4.0)
+        assert dataclasses.replace(pair, phi=4.0).phi == 4.0 - 2.0 * math.pi
+        with pytest.raises(ValueError, match="finite"):
+            dataclasses.replace(pair, beta=math.nan)
 
 
 # Non-finite angles, finite ones whose squares overflow, and any float.
@@ -402,7 +415,7 @@ class TestClosedForm:
             table = joint_distribution_closed_form(prep, analyzer).table
             # the column_stack reference, evaluated at the canonical angles
             raw = closed_form_raw(prep.beta, prep.phi, analyzer.beta, analyzer.phi)
-            assert same_bits(table, JointDistribution(raw).table)
+            assert same_bits(table, checked_table(raw)[0])
 
     @settings(derandomize=True, max_examples=300)
     @given(ANGLES, ANGLES, ANGLES, ANGLES)
@@ -550,6 +563,148 @@ class TestJointDistribution:
                 with pytest.raises(ValueError, match="sum to"):
                     dist.validate()
 
+    @pytest.mark.parametrize("side", [1, -1])
+    def test_validate_marginal_at_its_tolerance(self, side):
+        # one marginal at each value, the other three sharing its deviation
+        # with the opposite sign, so that the total stays well inside its own
+        # check; entries in column 0, so that each marginal is exact
+        edge = tolerance_edge(0.25, ATOL, side)
+        for position in range(4):
+            for m, valid in (
+                (math.nextafter(edge, 0.25), True),
+                (edge, True),
+                (math.nextafter(edge, side * math.inf), False),
+            ):
+                marginals = [0.25 - (m - 0.25) / 3] * 4
+                marginals[position] = m
+                table = np.column_stack([marginals, np.zeros(4)])
+                dist = JointDistribution(table)
+                assert dist._marginal[position] == m
+                if valid:
+                    dist.validate()
+                else:
+                    with pytest.raises(ValueError, match="not flat 1/4"):
+                        dist.validate()
+
+    def test_validate_largest_at_its_tolerance(self):
+        # the check compares with the rounded 1.0 + ATOL, one ulp above the
+        # last float within ATOL of 1; at and below it a later check refuses
+        # the lone large entry, one ulp above it this one does
+        edge = 1.0 + ATOL
+        assert edge == math.nextafter(tolerance_edge(1.0, ATOL, 1), math.inf)
+        for index in np.ndindex(4, 2):
+            for x, passes in (
+                (math.nextafter(edge, 0.0), True),
+                (edge, True),
+                (math.nextafter(edge, math.inf), False),
+            ):
+                table = np.zeros((4, 2))
+                table[index] = x
+                with pytest.raises(ValueError) as info:
+                    JointDistribution(table).validate()
+                assert ("above 1" not in str(info.value)) is passes
+
+    def test_clamp_at_its_tolerance(self):
+        edge = tolerance_edge(0.0, ATOL, -1)
+        assert edge == -ATOL
+        for index in np.ndindex(4, 2):
+            for x, clamped in (
+                (math.nextafter(edge, 0.0), True),
+                (edge, True),
+                (math.nextafter(edge, -math.inf), False),
+            ):
+                table = np.full((4, 2), 0.125)
+                table[index] = x
+                if clamped:
+                    kept = JointDistribution(table).table
+                    assert kept[index] == 0.0
+                    assert np.count_nonzero(kept != table) == 1
+                else:
+                    with pytest.raises(ValueError, match="negative"):
+                        JointDistribution(table)
+
+    def test_validate_refuses_nan_marginal_in_every_position(self):
+        # no finite table gives a NaN marginal; one set by hand is refused
+        for position in range(4):
+            dist = JointDistribution(np.full((4, 2), 0.125))
+            marginal = [0.25] * 4
+            marginal[position] = math.nan
+            object.__setattr__(dist, "_marginal", tuple(marginal))
+            with pytest.raises(ValueError):
+                dist.validate()
+
+    @pytest.mark.parametrize(
+        "kind",
+        [
+            "c",
+            "f",
+            "reversed",
+            "strided",
+            "int",
+            "float32",
+            "big-endian",
+            "nested",
+            "read-only",
+            "subclass",
+            "object",
+        ],
+    )
+    @pytest.mark.parametrize("residue", [0.0, -1e-14])
+    def test_input_kinds_match_reference(self, kind, residue):
+        # the table's bits, dtype and layout, its largest entry and its
+        # marginals, against the reference's numpy reductions; a negative
+        # residue takes the clamp path, which stores a new C-ordered array
+        # and keeps the sign of a zero
+        base = np.array([[0.125, 0.125], [0.1, 0.15], [0.25, -0.0], [0.25, residue]])
+        wide = np.zeros((4, 4))
+        wide[:, ::2] = base
+        readonly = base.copy()
+        readonly.setflags(write=False)
+        table = {
+            "c": base,
+            "f": np.asfortranarray(base),
+            "reversed": base[:, ::-1],
+            "strided": wide[:, ::2],
+            "int": np.array([[1, 0], [0, 0], [0, 0], [0, 0]]) - (residue < 0) * np.eye(4, 2, dtype=int),
+            "float32": base.astype(np.float32),
+            "big-endian": base.astype(">f8"),
+            "nested": base.tolist(),
+            "read-only": readonly,
+            "subclass": base.view(np.matrix),
+            "object": base.astype(object),
+        }[kind]
+        if kind == "int" and residue < 0:
+            with pytest.raises(ValueError, match="negative"):
+                checked_table(table)
+            with pytest.raises(ValueError, match="negative"):
+                JointDistribution(table)
+            return
+        before = np.array(table, dtype=object)
+        writeable = getattr(getattr(table, "flags", None), "writeable", None)
+        dist = JointDistribution(table)
+        expected, largest, marginal = checked_table(table)
+        assert type(dist.table) is np.ndarray
+        assert same_bits(dist.table, expected)
+        for flag in ("c_contiguous", "f_contiguous", "writeable"):
+            assert getattr(dist.table.flags, flag) == getattr(expected.flags, flag), flag
+        assert np.array([dist._largest, *dist._marginal]).tobytes() == (
+            np.array([largest, *marginal]).tobytes()
+        )
+        # the input is copied, never frozen or changed
+        assert getattr(getattr(table, "flags", None), "writeable", None) == writeable
+        assert np.array_equal(np.array(table, dtype=object), before)
+
+    def test_dataclass_surface(self):
+        dist = JointDistribution(np.full((4, 2), 0.125))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            dist.table = np.zeros((4, 2))
+        assert dist != JointDistribution(dist.table)
+        assert repr(dist) == f"JointDistribution(table={dist.table!r})"
+        # replace goes through the constructor and its checks
+        assert same_bits(dataclasses.replace(dist, table=np.full((4, 2), 0.25)).table, np.full((4, 2), 0.25))
+        with pytest.raises(ValueError, match="negative"):
+            dataclasses.replace(dist, table=np.full((4, 2), -1.0))
+
     def test_validate_rejects_skewed_marginal(self):
         table = np.array([[0.5, 0.0], [0.0, 0.0], [0.25, 0.0], [0.25, 0.0]])
         with pytest.raises(ValueError, match="marginal"):
@@ -568,10 +723,11 @@ class TestJointDistribution:
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_rejects_non_finite_entry(self, bad):
-        table = np.full((4, 2), 0.125)
-        table[2, 1] = bad
-        with pytest.raises(ValueError, match="finite"):
-            JointDistribution(table)
+        for index in np.ndindex(4, 2):
+            table = np.full((4, 2), 0.125)
+            table[index] = bad
+            with pytest.raises(ValueError, match="finite"):
+                JointDistribution(table)
 
     @pytest.mark.parametrize("shape", [(8,), (2, 4), (4, 3), (3, 2), (4, 2, 1)])
     def test_rejects_wrong_shape(self, shape):
