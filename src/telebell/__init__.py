@@ -45,7 +45,6 @@ from .teleport import (
     JointDistribution,
     PreparationSettings,
     bell_basis,
-    bob_basis,
     correction_unitary,
     joint_distribution_closed_form,
     joint_distribution_simulated,

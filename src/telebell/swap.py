@@ -50,7 +50,7 @@ def _analyzer_rows(angles) -> np.ndarray:
     """(n, 2, 2) stack of real dichotomic analyzers, one per angle, as basis rows.
 
     Row 0 (outcome "0") is ``(cos t, sin t)``, row 1 (outcome "1") is
-    ``(-sin t, cos t)``: ``dichotomic_basis(t, 0, label).matrix``.
+    ``(-sin t, cos t)``: the dichotomic analyzer of ``teleport`` at phase 0.
     """
     return np.array([((cos(t), sin(t)), (-sin(t), cos(t))) for t in angles])
 

@@ -41,8 +41,6 @@ __all__ = [
     "AnalyzerSettings",
     "JointDistribution",
     "bell_basis",
-    "bob_basis",
-    "dichotomic_basis",
     "joint_distribution_closed_form",
     "joint_distribution_simulated",
     "correction_unitary",
@@ -68,6 +66,10 @@ def _canonical_angles(beta: float, phi: float) -> tuple[float, float]:
     """
     if not (isfinite(beta) and isfinite(phi)):
         raise ValueError("angles must be finite")
+    # a float32 is reduced in double precision, and an int phase is not kept;
+    # converted only after the check, which refuses strings and complex numbers
+    if type(beta) is not float or type(phi) is not float:
+        beta, phi = float(beta), float(phi)
     b = beta % (2.0 * pi)
     if b >= pi:
         b -= pi
@@ -79,7 +81,10 @@ def _canonical_angles(beta: float, phi: float) -> tuple[float, float]:
 
 @dataclass(frozen=True, init=False)
 class _AnglePair:
-    """A (beta, phi) pair in radians, reduced to its canonical representative."""
+    """A (beta, phi) pair in radians, reduced to its canonical representative.
+
+    Each angle may be any finite real number; it is stored as a Python float.
+    """
 
     beta: float
     phi: float
@@ -214,25 +219,6 @@ def _analyzer_operand(beta: float, phi: float) -> np.ndarray:
     """
     c, s, phase = cos(beta), sin(beta), np.exp(1j * phi)
     return np.array([[c, -s], [s * phase, c * phase]]).conj()
-
-
-def dichotomic_basis(beta: float, phi: float, label: str) -> ProjectiveBasis:
-    """Two-outcome analyzer basis on one labelled qubit.
-
-    Outcome "0" projects on ``cos(beta)|0> + sin(beta) e^{i phi}|1>``,
-    outcome "1" on the orthogonal ``-sin(beta)|0> + cos(beta) e^{i phi}|1>``.
-    Non-finite angles raise ``ValueError``.
-    """
-    if not (isfinite(beta) and isfinite(phi)):
-        raise ValueError("angles must be finite")
-    # the states are the columns of ``_analyzer_operand``, conjugated back
-    zero, one = _analyzer_operand(beta, phi).conj().T
-    return ProjectiveBasis((PureState(zero, (label,)), PureState(one, (label,))), BOB_OUTCOMES)
-
-
-def bob_basis(analyzer: AnalyzerSettings) -> ProjectiveBasis:
-    """Bob's analyzer basis on qubit C."""
-    return dichotomic_basis(analyzer.beta, analyzer.phi, "C")
 
 
 def joint_distribution_closed_form(

@@ -14,7 +14,14 @@ import numpy as np
 
 from telebell.corrvec import correlation_closed_form, standard_setting_pairs
 from telebell.lhv import STRATEGY_SIGNS
-from telebell.qstate import ATOL, MAX_QUBITS, PROB_FLOOR, PureState, _front_matrix
+from telebell.qstate import (
+    ATOL,
+    MAX_QUBITS,
+    PROB_FLOOR,
+    ProjectiveBasis,
+    PureState,
+    _front_matrix,
+)
 from telebell.teleport import BOB_OUTCOMES, _bell_stage, _preparation_amplitudes
 
 
@@ -146,17 +153,30 @@ def closed_form_table(prep, analyzer):
     return validated_table(np.array([(p, 0.25 - p) for p in p_zero]))
 
 
+def analyzer_amplitudes(beta, phi):
+    """Bob's two analyzer states as amplitude lists: outcome "0" is
+    ``cos(beta)|0> + sin(beta) e^{i phi}|1>``, outcome "1" the orthogonal
+    ``-sin(beta)|0> + cos(beta) e^{i phi}|1>``."""
+    phase = np.exp(1j * phi)
+    return (
+        [math.cos(beta), math.sin(beta) * phase],
+        [-math.sin(beta), math.cos(beta) * phase],
+    )
+
+
+def analyzer_basis(beta, phi, label):
+    """The dichotomic analyzer on one labelled qubit, built and Gram-checked by
+    the public ``PureState`` and ``ProjectiveBasis`` constructors."""
+    zero, one = analyzer_amplitudes(beta, phi)
+    return ProjectiveBasis((PureState(zero, (label,)), PureState(one, (label,))), BOB_OUTCOMES)
+
+
 def bob_rows(analyzer):
     """Bob's analyzer states as rows, each checked by ``pure_state_amplitudes``
-    and the pair by ``basis_matrix``: the ``matrix`` that ``bob_basis`` must give."""
-    beta, phi = analyzer.beta, analyzer.phi
-    phase = np.exp(1j * phi)
+    and the pair by ``basis_matrix``: the ``matrix`` of ``analyzer_basis`` on C."""
     states = tuple(
         SimpleNamespace(amplitudes=pure_state_amplitudes(amplitudes, ("C",)), factor_labels=("C",))
-        for amplitudes in (
-            [math.cos(beta), math.sin(beta) * phase],
-            [-math.sin(beta), math.cos(beta) * phase],
-        )
+        for amplitudes in analyzer_amplitudes(analyzer.beta, analyzer.phi)
     )
     return basis_matrix(states, BOB_OUTCOMES)
 

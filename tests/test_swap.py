@@ -27,9 +27,10 @@ from telebell.swap import (
     reduced_purity,
     run_swap,
 )
-from telebell.teleport import BELL_OUTCOMES, bell_basis, dichotomic_basis
+from telebell.teleport import BELL_OUTCOMES, bell_basis
 
 from reference import (
+    analyzer_basis,
     inner_product,
     normalize,
     partial_inner,
@@ -82,8 +83,8 @@ def pair_correlation(state, angle_1, angle_2):
 def sequential_pair_correlation(state, angle_1, angle_2):
     """Reference: measure the product basis of the two analyzers as one 4-state basis."""
     label_1, label_2 = state.factor_labels
-    first = dichotomic_basis(angle_1, 0.0, label_1)
-    second = dichotomic_basis(angle_2, 0.0, label_2)
+    first = analyzer_basis(angle_1, 0.0, label_1)
+    second = analyzer_basis(angle_2, 0.0, label_2)
     states = tuple(tensor_product(a, b) for a in first.states for b in second.states)
     basis = ProjectiveBasis(states, ("00", "01", "10", "11"))
     p = [value for _, value, _ in measure_probabilities(state, basis, state.factor_labels)]
@@ -94,8 +95,8 @@ def coefficient_row_correlation(state, angle_1, angle_2):
     """Reference: one pair at a time, the first analyzer's coefficient rows
     against the second analyzer's basis matrix."""
     first, second = state.factor_labels
-    rows = basis_coefficients(state, dichotomic_basis(angle_1, 0.0, first), (first,))
-    amplitudes = rows @ dichotomic_basis(angle_2, 0.0, second).matrix.conj().T
+    rows = basis_coefficients(state, analyzer_basis(angle_1, 0.0, first), (first,))
+    amplitudes = rows @ analyzer_basis(angle_2, 0.0, second).matrix.conj().T
     p = (np.abs(amplitudes) ** 2).ravel().tolist()
     return p[0] - p[1] - p[2] + p[3]
 
@@ -307,9 +308,10 @@ class TestBatchedCorrelations:
     @settings(derandomize=True, max_examples=300)
     @given(st.floats(allow_nan=False, allow_infinity=False) | ANGLES)
     def test_analyzer_rows_are_the_real_dichotomic_basis(self, angle):
-        # the batched rows are the phi = 0 analyzer's basis rows, bit for bit
+        # the batched rows are the reference's phi = 0 analyzer basis rows,
+        # bit for bit
         rows = _analyzer_rows((angle,))[0]
-        matrix = dichotomic_basis(angle, 0.0, "C").matrix
+        matrix = analyzer_basis(angle, 0.0, "C").matrix
         assert rows.dtype == np.float64
         assert rows.astype(complex).tobytes() == matrix.tobytes()
 

@@ -33,15 +33,14 @@ from telebell.teleport import (
     _checked_corrections,
     _preparation_amplitudes,
     bell_basis,
-    bob_basis,
     correction_unitary,
-    dichotomic_basis,
     joint_distribution_closed_form,
     joint_distribution_simulated,
     run_full_teleportation,
 )
 
 from reference import (
+    analyzer_basis,
     apply_local_unitary,
     bob_rows,
     checked_table,
@@ -145,10 +144,35 @@ class TestSettings:
         assert (pair.beta, pair.phi) == (0.0, phi)
 
     def test_non_finite_rejected(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for cls in SETTINGS_CLASSES:
+                for bad in (math.nan, math.inf, -math.inf):
+                    for angles in ((bad, 0.3), (0.3, bad), (bad, bad)):
+                        with pytest.raises(ValueError, match="finite"):
+                            cls(*angles)
+
+    def test_any_real_number_stored_as_float(self):
+        # a float32 angle is reduced in double precision, and an int or bool
+        # in range is not kept as it is: each field has the bits that
+        # float(x) inputs give
+        rng = np.random.default_rng(89)
+        inputs = [
+            (np.float32(100.0), np.float32(50.0)),
+            *[tuple(map(np.float32, rng.uniform(-1e3, 1e3, 2))) for _ in range(100)],
+            (0, 0),
+            (7, -9),
+            (-100, 50),
+            (True, False),
+            (False, True),
+            *[tuple(map(np.float64, rng.uniform(-1e3, 1e3, 2))) for _ in range(100)],
+        ]
         for cls in SETTINGS_CLASSES:
-            for angles in ((np.nan, 0.0), (0.0, np.inf), (-np.inf, 0.0)):
-                with pytest.raises(ValueError):
-                    cls(*angles)
+            for beta, phi in inputs:
+                pair, expected = cls(beta, phi), cls(float(beta), float(phi))
+                assert type(pair.beta) is float and type(pair.phi) is float
+                assert pair.beta.hex() == expected.beta.hex()
+                assert pair.phi.hex() == expected.phi.hex()
 
     def test_degree_round_trip(self):
         for cls in SETTINGS_CLASSES:
@@ -204,7 +228,12 @@ ANGLE_ENTRY_POINTS = {
         f"{cls.__name__}.from_degrees": lambda a, cls=cls: cls.from_degrees(a[2], a[3]).degrees
         for cls in SETTINGS_CLASSES
     },
-    "dichotomic_basis": lambda a: dichotomic_basis(a[0], a[1], "C").matrix,
+    **{
+        f.__name__: lambda a, f=f: f(
+            PreparationSettings(a[0], a[1]), AnalyzerSettings(a[2], a[3])
+        ).table
+        for f in (joint_distribution_simulated, joint_distribution_closed_form)
+    },
     "chsh_on_pair": lambda a: chsh_on_pair(_EPR_DC, a),
 }
 
@@ -215,13 +244,12 @@ class TestExtremeAngles:
     def test_refused_or_finite(self, angles):
         # pytest turns RuntimeWarning into an error; each entry point passes
         # only by refusing its input or by returning finite values
-        with np.errstate(all="ignore"):
-            for name, call in ANGLE_ENTRY_POINTS.items():
-                try:
-                    result = call(angles)
-                except ValueError:
-                    continue
-                assert np.isfinite(result).all(), name
+        for name, call in ANGLE_ENTRY_POINTS.items():
+            try:
+                result = call(angles)
+            except ValueError:
+                continue
+            assert np.isfinite(result).all(), name
 
 
 class TestInitialState:
@@ -301,31 +329,29 @@ class TestBellStage:
         assert same_bits(_bell_stage(pair.reshape(2, 2).T), expected)
 
 
+def analyzer_states(beta, phi):
+    """The analyzer's two states as rows: the operand's columns, conjugated back."""
+    return _analyzer_operand(beta, phi).conj().T
+
+
 class TestBobBasis:
+    # Bob's analyzer basis is the oracle's operand, read column by column
+
     def test_zero_beta_prime(self):
-        basis = bob_basis(AnalyzerSettings(0.0, 0.7))
-        zero, one = basis.states
-        assert np.allclose(zero.amplitudes, [1.0, 0.0], atol=1e-12)
-        assert np.allclose(one.amplitudes, [0.0, np.exp(0.7j)], atol=1e-12)
+        zero, one = analyzer_states(0.0, 0.7)
+        assert np.allclose(zero, [1.0, 0.0], atol=1e-12)
+        assert np.allclose(one, [0.0, np.exp(0.7j)], atol=1e-12)
 
     def test_quarter_beta_prime(self):
-        basis = bob_basis(AnalyzerSettings(np.pi / 4, 0.0))
-        assert np.allclose(basis.states[0].amplitudes, [SQRT_HALF, SQRT_HALF], atol=1e-12)
+        zero, _ = analyzer_states(np.pi / 4, 0.0)
+        assert np.allclose(zero, [SQRT_HALF, SQRT_HALF], atol=1e-12)
 
     def test_orthogonality_random_settings(self):
         rng = np.random.default_rng(53)
         for _ in range(100):
-            basis = bob_basis(AnalyzerSettings(rng.uniform(-7, 7), rng.uniform(-7, 7)))
-            overlap = inner_product(basis.states[0], basis.states[1])
-            assert abs(overlap) <= 1e-12
-
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-    def test_non_finite_angles_rejected(self, bad):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            for beta, phi in ((bad, 0.3), (0.3, bad), (bad, bad)):
-                with pytest.raises(ValueError, match="finite"):
-                    dichotomic_basis(beta, phi, "C")
+            analyzer = AnalyzerSettings(rng.uniform(-7, 7), rng.uniform(-7, 7))
+            zero, one = analyzer_states(analyzer.beta, analyzer.phi)
+            assert abs(np.vdot(zero, one)) <= 1e-12
 
 
 # Every finite double, extremes and subnormals included.
@@ -339,28 +365,30 @@ FINITE_ANGLES = (
 
 
 class TestAnalyzerBasisGram:
-    # dichotomic_basis returns a checked ProjectiveBasis: the Gram residual of
-    # its states stays far inside the 1e-12 tolerance for every finite angle
-    # pair, so the check never refuses one
+    # the Gram residual of the analyzer's states stays far inside the 1e-12
+    # tolerance of a checked ProjectiveBasis for every finite angle pair
 
     @settings(derandomize=True, max_examples=500)
     @given(FINITE_ANGLES, FINITE_ANGLES)
     def test_orthonormal_for_every_finite_pair(self, beta, phi):
-        matrix = dichotomic_basis(beta, phi, "C").matrix
-        assert np.abs(matrix.conj() @ matrix.T - np.eye(2)).max() <= 1e-15
+        states = analyzer_states(beta, phi)
+        assert np.abs(states.conj() @ states.T - np.eye(2)).max() <= 1e-15
 
 
 class TestAnalyzerOperand:
     # the oracle multiplies the Bell stage's rows by this operand, built from
-    # the angles; bob_basis stays the public basis object with the same rows
+    # the angles; the tests' analyzer bases come from the independent reference
 
     @settings(derandomize=True, max_examples=500)
     @given(FINITE_ANGLES, FINITE_ANGLES)
-    def test_is_bob_basis_conjugated_rows_bitwise(self, beta, phi):
+    def test_is_reference_rows_conjugated_bitwise(self, beta, phi):
+        # at the canonical angles the oracle uses, and at the raw ones
         analyzer = AnalyzerSettings(beta, phi)
         operand = _analyzer_operand(analyzer.beta, analyzer.phi)
-        assert same_bits(operand, bob_basis(analyzer).matrix.conj().T)
+        assert same_bits(operand, bob_rows(analyzer).conj().T)
         assert operand.flags.c_contiguous
+        raw = analyzer_basis(beta, phi, "C").matrix
+        assert same_bits(_analyzer_operand(beta, phi), raw.conj().T)
 
     def test_oracle_builds_no_basis_or_state(self, monkeypatch):
         rng = np.random.default_rng(83)
@@ -373,8 +401,6 @@ class TestAnalyzerOperand:
         def refuse(*args, **kwargs):
             raise AssertionError("the oracle built a state or a basis")
 
-        monkeypatch.setattr(teleport, "bob_basis", refuse)
-        monkeypatch.setattr(teleport, "dichotomic_basis", refuse)
         monkeypatch.setattr(PureState, "__post_init__", refuse)
         monkeypatch.setattr(ProjectiveBasis, "__post_init__", refuse)
         for (prep, analyzer), table in zip(pairs, tables):
@@ -474,9 +500,8 @@ class TestSimulated:
         # Bob first, then Alice on his conditional states.
         state = initial_state(prep)
         table = np.zeros((4, 2))
-        for col, (_, p_bob, post) in enumerate(
-            measure_probabilities(state, bob_basis(analyzer), ("C",))
-        ):
+        bob = analyzer_basis(analyzer.beta, analyzer.phi, "C")
+        for col, (_, p_bob, post) in enumerate(measure_probabilities(state, bob, ("C",))):
             if post is None:
                 continue
             for row, (_, p_bell, _) in enumerate(
@@ -512,13 +537,13 @@ class TestSimulated:
     @settings(derandomize=True, max_examples=300)
     @given(ANGLES, ANGLES, ANGLES, ANGLES)
     def test_table_matches_reconjugated_rows_bitwise(self, beta, phi, beta_prime, phi_prime):
-        # Bob's basis has the rows of the independent reference, and the
-        # oracle's table the reference's bits
+        # the reference's analyzer basis has the rows of its checked rows,
+        # and the oracle's table the reference's bits
         for shift in EQUIVALENT_ANGLES:
             prep = PreparationSettings(*shift(beta, phi))
             analyzer = AnalyzerSettings(*shift(beta_prime, phi_prime))
-            basis, rows = bob_basis(analyzer), bob_rows(analyzer)
-            assert same_bits(basis.matrix, rows)
+            basis = analyzer_basis(analyzer.beta, analyzer.phi, "C")
+            assert same_bits(basis.matrix, bob_rows(analyzer))
             table = joint_distribution_simulated(prep, analyzer).table
             assert same_bits(table, simulated_table(prep, analyzer))
 
