@@ -353,6 +353,17 @@ class TestBobBasis:
             zero, one = analyzer_states(analyzer.beta, analyzer.phi)
             assert abs(np.vdot(zero, one)) <= 1e-12
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_angles_rejected(self, bad):
+        # the operand's angles reach the oracle only through AnalyzerSettings,
+        # in radians or in degrees, which refuses them before any arithmetic
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for beta, phi in ((bad, 0.3), (0.3, bad), (bad, bad)):
+                for build in (AnalyzerSettings, AnalyzerSettings.from_degrees):
+                    with pytest.raises(ValueError, match="finite"):
+                        build(beta, phi)
+
 
 # Every finite double, extremes and subnormals included.
 FINITE_ANGLES = (
