@@ -44,8 +44,6 @@ from .teleport import (
     AnalyzerSettings,
     JointDistribution,
     PreparationSettings,
-    bell_basis,
-    correction_unitary,
     joint_distribution_closed_form,
     joint_distribution_simulated,
     run_full_teleportation,

@@ -85,23 +85,16 @@ class DeterministicStrategy:
             row = 2 * row + (sign > 0)
         object.__setattr__(self, "row", row)
 
-    def bob_value(self, phi_prime_deg: float) -> int:
-        try:
-            return self.bob[BOB_PHI_DEGREES.index(phi_prime_deg)]
-        except ValueError:
-            raise ValueError(f"unknown Bob setting {phi_prime_deg!r} degrees") from None
-
-    def alice_vector(self, phi_deg: float) -> np.ndarray:
-        try:
-            return np.array(self.alice[ALICE_PHI_DEGREES.index(phi_deg)], dtype=float)
-        except ValueError:
-            raise ValueError(f"unknown Alice setting {phi_deg!r} degrees") from None
-
 
 def strategy_super_vector(strategy: DeterministicStrategy) -> np.ndarray:
-    """Strategy's super-vector over the standard grid: sign times vector per pair."""
+    """Strategy's super-vector over the standard grid: sign times vector per pair.
+
+    Built from the answers one pair at a time, not read from
+    ``STRATEGY_SIGNS``, so that the two can be checked against each other.
+    """
     rows = [
-        strategy.bob_value(phi_prime_deg) * strategy.alice_vector(phi_deg)
+        strategy.bob[BOB_PHI_DEGREES.index(phi_prime_deg)]
+        * np.array(strategy.alice[ALICE_PHI_DEGREES.index(phi_deg)], dtype=float)
         for phi_deg, phi_prime_deg in SETTING_PAIRS_DEGREES
     ]
     return np.stack(rows)

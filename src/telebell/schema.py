@@ -9,11 +9,7 @@ SCHEMA_VERSION = 1
 
 _COMMANDS = ("probs", "bell_test", "swap", "noise_threshold", "teleport_fidelity")
 
-__all__ = ["SCHEMA_VERSION", "available_schemas", "load_schema"]
-
-
-def available_schemas() -> tuple[str, ...]:
-    return _COMMANDS
+__all__ = ["SCHEMA_VERSION", "load_schema"]
 
 
 def load_schema(command: str) -> dict:

@@ -17,7 +17,7 @@ stored on the (B, A) subspace with B as the most significant bit.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import cos, degrees, isfinite, pi, radians, sin, sqrt
+from math import cos, isfinite, pi, radians, sin, sqrt
 
 import numpy as np
 
@@ -40,10 +40,8 @@ __all__ = [
     "PreparationSettings",
     "AnalyzerSettings",
     "JointDistribution",
-    "bell_basis",
     "joint_distribution_closed_form",
     "joint_distribution_simulated",
-    "correction_unitary",
     "run_full_teleportation",
 ]
 
@@ -64,8 +62,11 @@ def _canonical_angles(beta: float, phi: float) -> tuple[float, float]:
     reflecting beta about pi/2 while advancing phi by pi leaves both the
     amplitudes and the analyzer projectors unchanged.
     """
-    if not (isfinite(beta) and isfinite(phi)):
-        raise ValueError("angles must be finite")
+    try:
+        if not (isfinite(beta) and isfinite(phi)):
+            raise ValueError("angles must be finite")
+    except OverflowError:  # an int beyond the float range
+        raise ValueError("angles must be finite") from None
     # a float32 is reduced in double precision, and an int phase is not kept;
     # converted only after the check, which refuses strings and complex numbers
     if type(beta) is not float or type(phi) is not float:
@@ -98,11 +99,11 @@ class _AnglePair:
 
     @classmethod
     def from_degrees(cls, beta_deg: float, phi_deg: float):
-        return cls(radians(beta_deg), radians(phi_deg))
-
-    @property
-    def degrees(self) -> tuple[float, float]:
-        return degrees(self.beta), degrees(self.phi)
+        try:
+            beta, phi = radians(beta_deg), radians(phi_deg)
+        except OverflowError:  # an int beyond the float range
+            raise ValueError("angles must be finite") from None
+        return cls(beta, phi)
 
 
 # Two subclasses, not one class under two names: a preparation never compares
@@ -192,21 +193,16 @@ def _bell_basis() -> ProjectiveBasis:
     return ProjectiveBasis(states, BELL_OUTCOMES)
 
 
-_BELL_BASIS = _bell_basis()
-# The Bell stage's fixed operands: the conjugated Bell rows, and the EPR pair
-# (|00> + |11>)/sqrt(2) as a (2, 2) amplitude matrix, rows indexed by its
-# first qubit, with its (B, A, D, C) view that broadcasts against A's
-# amplitudes: B of the (B, C) pair along the first axis, C along the last.
-_BELL_CONJ = _BELL_BASIS.matrix.conj()
+# The Bell stage's fixed operands: the conjugated Bell rows, Gram-checked
+# once here by the basis constructor, and the EPR pair (|00> + |11>)/sqrt(2)
+# as a (2, 2) amplitude matrix, rows indexed by its first qubit, with its
+# (B, A, D, C) view that broadcasts against A's amplitudes: B of the (B, C)
+# pair along the first axis, C along the last.
+_BELL_CONJ = _bell_basis().matrix.conj()
 _BELL_CONJ.setflags(write=False)
 _EPR = np.array(np.array([1.0, 0.0, 0.0, 1.0]) / sqrt(2.0), dtype=complex).reshape(2, 2)
 _EPR.setflags(write=False)
 _EPR_B11C = _EPR.reshape(2, 1, 1, 2)
-
-
-def bell_basis() -> ProjectiveBasis:
-    """The four Bell states on the (B, A) subspace, labelled 00, 01, 10, 11."""
-    return _BELL_BASIS
 
 
 def _analyzer_operand(beta: float, phi: float) -> np.ndarray:
@@ -292,6 +288,9 @@ def _checked_corrections(corrections: dict[str, np.ndarray]) -> dict[str, np.nda
     return corrections
 
 
+# The unitary Bob applies to C for each Bell outcome, fixed (up to a global
+# phase) by requiring that C's corrected state reproduce the prepared A state
+# with fidelity 1 for every preparation.
 _CORRECTIONS = _checked_corrections(
     {
         "00": np.eye(2, dtype=complex),
@@ -300,20 +299,6 @@ _CORRECTIONS = _checked_corrections(
         "11": np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex),
     }
 )
-
-
-def correction_unitary(outcome: str) -> np.ndarray:
-    """Unitary Bob would apply to C for the given Bell outcome.
-
-    Fixed (up to global phase) by requiring that C's conditional state after
-    the correction reproduces the prepared A state with fidelity 1 for every
-    preparation; the oracle test in ``run_full_teleportation`` guards the
-    convention.
-    """
-    try:
-        return _CORRECTIONS[outcome]
-    except KeyError:
-        raise ValueError(f"unknown Bell outcome {outcome!r}") from None
 
 
 def run_full_teleportation(prep: PreparationSettings) -> list[tuple[str, float, float]]:

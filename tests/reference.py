@@ -52,6 +52,27 @@ def initial_state(prep):
     return tensor_product(PureState(a, ("A",)), epr_pair(("B", "C")))
 
 
+def bell_basis():
+    """The four Bell states on (B, A), B the more significant bit, labelled
+    00, 01, 10, 11: (|00> + |11>), (|01> + |10>), (|01> - |10>) and
+    (|00> - |11>), each over sqrt(2).  Built and Gram-checked by the public
+    ``PureState`` and ``ProjectiveBasis`` constructors."""
+    r = 1.0 / math.sqrt(2.0)
+    amplitudes = ([r, 0.0, 0.0, r], [0.0, r, r, 0.0], [0.0, r, -r, 0.0], [r, 0.0, 0.0, -r])
+    states = tuple(PureState(a, ("B", "A")) for a in amplitudes)
+    return ProjectiveBasis(states, ("00", "01", "10", "11"))
+
+
+# The unitary Bob applies to C after each Bell outcome of ``bell_basis``:
+# the identity, X, XZ and Z.
+CORRECTIONS = {
+    "00": np.array([[1.0, 0.0], [0.0, 1.0]], dtype=complex),
+    "01": np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
+    "10": np.array([[0.0, -1.0], [1.0, 0.0]], dtype=complex),
+    "11": np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex),
+}
+
+
 def swap_initial_state():
     """EPR(D, A) tensor EPR(B, C); labels (D, A, B, C)."""
     return tensor_product(epr_pair(("D", "A")), epr_pair(("B", "C")))

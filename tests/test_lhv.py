@@ -56,10 +56,14 @@ def loop_ensemble_super_vector(ensemble):
 
 
 def loop_ensemble_correlation(ensemble, alice_phi_deg, bob_phi_deg):
-    """Reference: the per-entry loop over one setting pair."""
+    """Reference: the per-entry loop over one setting pair, reading each
+    strategy's answers at Bob's phi' of -45 or 45 and Alice's phi of 0 or 90."""
+    bob_index = {-45.0: 0, 45.0: 1}[bob_phi_deg]
+    alice_index = {0.0: 0, 90.0: 1}[alice_phi_deg]
     total = np.zeros(2)
     for strategy, weight in ensemble.entries:
-        total += weight * strategy.bob_value(bob_phi_deg) * strategy.alice_vector(alice_phi_deg)
+        alice = np.array(strategy.alice[alice_index], dtype=float)
+        total += weight * strategy.bob[bob_index] * alice
     return total
 
 
@@ -122,18 +126,14 @@ class TestDeterministicStrategy:
         assert from_lists in enumerate_strategies()
 
     def test_setting_lookup(self):
-        s = DeterministicStrategy(bob=(-1, 1), alice=((-1, -1), (1, 1)))
-        assert s.bob_value(-45.0) == -1
-        assert s.bob_value(45.0) == 1
-        assert np.array_equal(s.alice_vector(0.0), [-1, -1])
-        assert np.array_equal(s.alice_vector(90.0), [1, 1])
-
-    def test_unknown_setting(self):
-        s = all_plus()
-        with pytest.raises(ValueError, match="Bob setting"):
-            s.bob_value(30.0)
-        with pytest.raises(ValueError, match="Alice setting"):
-            s.alice_vector(45.0)
+        # bob answers phi' = -45 with -1 and +45 with +1; alice answers
+        # phi = 0 with (1, -1) and 90 with (1, 1).  Setting pair (phi, phi')
+        # of the super-vector is Bob's sign times Alice's vector
+        s = DeterministicStrategy(bob=(-1, 1), alice=((1, -1), (1, 1)))
+        assert SETTING_PAIRS_DEGREES == ((0.0, -45.0), (0.0, 45.0), (90.0, -45.0), (90.0, 45.0))
+        expected = np.array([[-1.0, 1.0], [1.0, -1.0], [-1.0, -1.0], [1.0, 1.0]])
+        h = strategy_super_vector(s)
+        assert h.dtype == np.float64 and np.array_equal(h, expected)
 
 
 class TestStrategySuperVector:

@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from telebell.lhv import bell_test
+from telebell.corrvec import super_norm_sq
+from telebell.lhv import QUANTUM_BOUND, QUANTUM_SUPER_VECTOR, VIOLATION_TOL, bell_test
 from telebell.noise import noisy_joint_distribution, violation_threshold
 from telebell.teleport import (
     AnalyzerSettings,
@@ -86,3 +87,35 @@ class TestViolationThreshold:
         values = [bell_test(v).quantum_value for v in np.linspace(0.0, 1.0, 21)]
         assert all(b > a for a, b in zip(values, values[1:]))
         assert bell_test(min(threshold + 0.001, 1.0)).violated is True
+
+
+class TestPaperNumbers:
+    # the paper's numbers, each the correctly rounded double: the LHV bound
+    # sqrt(2), the quantum value 2 and the threshold visibility 1/sqrt(2)
+
+    # the last visibility that bell_test does not call a violation
+    LAST_UNVIOLATED = 0.7071067811870476
+
+    def test_lhv_bound_is_sqrt_two(self):
+        assert QUANTUM_BOUND.maximum == math.sqrt(2.0)
+
+    def test_quantum_norm_is_two(self):
+        assert super_norm_sq(QUANTUM_SUPER_VECTOR) == 2.0
+
+    def test_threshold_is_sqrt_half(self):
+        # sqrt(0.5), not 1 / sqrt(2.0), which rounds one ulp lower
+        assert violation_threshold() == math.sqrt(0.5)
+        assert 1.0 / math.sqrt(2.0) == math.nextafter(math.sqrt(0.5), 0.0)
+
+    def test_verdict_flips_at_adjacent_doubles(self):
+        edge = self.LAST_UNVIOLATED
+        assert bell_test(math.nextafter(edge, 0.0)).violated is False
+        assert bell_test(edge).violated is False
+        assert bell_test(math.nextafter(edge, 1.0)).violated is True
+
+    def test_flip_lies_half_the_tolerance_above_threshold(self):
+        # the quantum value 2v must beat sqrt(2) by VIOLATION_TOL, so the
+        # flip lies VIOLATION_TOL / 2 above 1/sqrt(2): 4,505 ulps
+        threshold, flip = violation_threshold(), math.nextafter(self.LAST_UNVIOLATED, 1.0)
+        assert (flip - threshold) / math.ulp(threshold) == 4505.0
+        assert abs(flip - (threshold + VIOLATION_TOL / 2)) <= 2 * math.ulp(threshold)

@@ -27,10 +27,11 @@ from telebell.swap import (
     reduced_purity,
     run_swap,
 )
-from telebell.teleport import BELL_OUTCOMES, bell_basis
+from telebell.teleport import BELL_OUTCOMES
 
 from reference import (
     analyzer_basis,
+    bell_basis,
     inner_product,
     normalize,
     partial_inner,

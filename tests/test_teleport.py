@@ -32,16 +32,16 @@ from telebell.teleport import (
     _bell_stage,
     _checked_corrections,
     _preparation_amplitudes,
-    bell_basis,
-    correction_unitary,
     joint_distribution_closed_form,
     joint_distribution_simulated,
     run_full_teleportation,
 )
 
 from reference import (
+    CORRECTIONS,
     analyzer_basis,
     apply_local_unitary,
+    bell_basis,
     bob_rows,
     checked_table,
     closed_form_table,
@@ -69,7 +69,7 @@ def sequential_teleportation(prep):
     basis = bell_basis()
     results = []
     for idx, (outcome, p, post) in enumerate(measure_probabilities(state, basis, ("B", "A"))):
-        corrected = apply_local_unitary(post, correction_unitary(outcome), "C")
+        corrected = apply_local_unitary(post, CORRECTIONS[outcome], "C")
         residual = normalize(partial_inner(basis.states[idx], corrected))
         results.append((outcome, p, abs(inner_product(target, residual)) ** 2))
     return results
@@ -175,10 +175,21 @@ class TestSettings:
                 assert pair.phi.hex() == expected.phi.hex()
 
     def test_degree_round_trip(self):
+        # in-range angles in degrees: radians(x), not reduced further
         for cls in SETTINGS_CLASSES:
             pair = cls.from_degrees(30.0, 77.0)
             assert type(pair) is cls
-            assert pair.degrees == pytest.approx((30.0, 77.0))
+            assert (pair.beta, pair.phi) == (math.radians(30.0), math.radians(77.0))
+
+    @pytest.mark.parametrize("cls", SETTINGS_CLASSES)
+    @pytest.mark.parametrize("angles", [(10**400, 0), (0, -(10**400)), (10**400, 10**400)])
+    def test_huge_integer_refused(self, cls, angles):
+        # an int beyond the float range is refused as a non-finite float is,
+        # not with an OverflowError
+        with pytest.raises(ValueError, match="finite"):
+            cls(*angles)
+        with pytest.raises(ValueError, match="finite"):
+            cls.from_degrees(*angles)
 
     def test_classes_are_distinct(self):
         # not one class under two names: the benchmark tracer replaces each
@@ -225,7 +236,9 @@ ANGLE_ENTRY_POINTS = {
         for cls in SETTINGS_CLASSES
     },
     **{
-        f"{cls.__name__}.from_degrees": lambda a, cls=cls: cls.from_degrees(a[2], a[3]).degrees
+        f"{cls.__name__}.from_degrees": lambda a, cls=cls: dataclasses.astuple(
+            cls.from_degrees(a[2], a[3])
+        )
         for cls in SETTINGS_CLASSES
     },
     **{
@@ -275,8 +288,9 @@ class TestInitialState:
 
 
 class TestBellBasis:
+    # the library's Bell basis, from which the Bell stage's operand is built
     def test_orthonormal(self):
-        basis = bell_basis()
+        basis = teleport._bell_basis()
         for i, a in enumerate(basis.states):
             for j, b in enumerate(basis.states):
                 expected = 1.0 if i == j else 0.0
@@ -284,24 +298,21 @@ class TestBellBasis:
 
     def test_minus_sign_of_third_state(self):
         # state "10" carries amplitude -1/sqrt(2) on |B=1, A=0> (index 2)
-        state = bell_basis().states[2]
+        state = teleport._bell_basis().states[2]
         assert abs(state.amplitudes[2] - (-SQRT_HALF)) <= 1e-12
 
     def test_projector_completeness(self):
         total = np.zeros((4, 4), dtype=complex)
-        for state in bell_basis().states:
+        for state in teleport._bell_basis().states:
             total += np.outer(state.amplitudes, state.amplitudes.conj())
         assert np.max(np.abs(total - np.eye(4))) <= 1e-12
 
     def test_outcome_labels(self):
-        assert bell_basis().outcome_labels == BELL_OUTCOMES
-
-
-    def test_is_one_constant(self):
-        assert bell_basis() is bell_basis()
+        assert teleport._bell_basis().outcome_labels == BELL_OUTCOMES
 
     def test_stage_operand_is_conjugated_matrix_bitwise(self):
-        # the Bell stage's fixed operand, built once at import
+        # the Bell stage's fixed operand, built once at import, against the
+        # literal reference basis
         assert same_bits(teleport._BELL_CONJ, bell_basis().matrix.conj())
         assert teleport._BELL_CONJ.flags.c_contiguous
         assert not teleport._BELL_CONJ.flags.writeable
@@ -793,14 +804,10 @@ class TestJointDistribution:
 
 class TestCorrections:
     def test_identity_for_outcome_00(self):
-        assert np.allclose(correction_unitary("00"), np.eye(2))
+        assert np.allclose(teleport._CORRECTIONS["00"], np.eye(2))
 
     def test_phase_flip_for_outcome_11(self):
-        assert np.allclose(correction_unitary("11"), np.diag([1.0, -1.0]))
-
-    def test_unknown_outcome(self):
-        with pytest.raises(ValueError, match="unknown Bell outcome '22'"):
-            correction_unitary("22")
+        assert np.allclose(teleport._CORRECTIONS["11"], np.diag([1.0, -1.0]))
 
     def test_nan_correction_rejected(self):
         nan_entry = np.array([[np.nan, 0.0], [0.0, 1.0]], dtype=complex)
