@@ -81,8 +81,11 @@ def chsh_on_pair(state: PureState, angles) -> float:
     Non-finite angles raise ``ValueError``.
     """
     a, a_alt, b, b_alt = angles
-    if not all(map(isfinite, (a, a_alt, b, b_alt))):
-        raise ValueError("angles must be finite")
+    try:
+        if not all(map(isfinite, (a, a_alt, b, b_alt))):
+            raise ValueError("angles must be finite")
+    except OverflowError:  # an int beyond the float range
+        raise ValueError("angles must be finite") from None
     e = _correlations(state, (a, a, a_alt, a_alt), (b, b_alt, b, b_alt)).tolist()
     s = e[0] - e[1] + e[2] + e[3]
     if not (abs(s) <= TSIRELSON_BOUND + 1e-12):

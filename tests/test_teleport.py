@@ -220,9 +220,12 @@ class TestSettings:
             dataclasses.replace(pair, beta=math.nan)
 
 
-# Non-finite angles, finite ones whose squares overflow, and any float.
+# Non-finite angles, finite ones whose squares overflow, ints beyond the
+# float range, and any float.
 EXTREME_ANGLES = (
-    st.sampled_from([math.nan, math.inf, -math.inf, 1e200, -1e300, sys.float_info.max])
+    st.sampled_from(
+        [math.nan, math.inf, -math.inf, 1e200, -1e300, sys.float_info.max, 10**400, -(10**400)]
+    )
     | st.floats()
     | ANGLES
 )
